@@ -830,7 +830,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.close()
         service.stop()
-    health = service.health()
+    health = service.health()["service"]
     print(f"served {health['windows_published']} windows "
           f"({health['anomalies']} anomaly flags); status: {health['status']}")
     if health["status"] == "failed":
@@ -915,13 +915,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
         server.close()
         health = router.health()
         router.close()
-    print(f"served {health['windows_published']} windows "
-          f"({health['anomalies']} anomaly flags) across "
-          f"{health['router']['n_partitions']} services; "
-          f"status: {health['status']}; "
-          f"service restarts: {health['router']['n_restarts']}")
-    if health["status"] == "failed":
-        print(f"estimator error: {health['error']}", file=sys.stderr)
+    tier, router = health["service"], health["router"]
+    print(f"served {tier['windows_published']} windows "
+          f"({tier['anomalies']} anomaly flags) across "
+          f"{router['n_partitions']} services; "
+          f"status: {tier['status']}; "
+          f"service restarts: {router['n_restarts']}")
+    if tier["status"] == "failed":
+        print(f"estimator error: {tier['error']}", file=sys.stderr)
         return 1
     return 0
 
@@ -981,7 +982,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             if args.no_seal:
                 raise SystemExit("--wait needs the stream sealed; drop --no-seal")
             while True:
-                health = client.health()
+                health = client.health()["service"]
                 if health["status"] in ("finished", "failed", "stopped"):
                     break
                 time.sleep(0.2)

@@ -52,8 +52,8 @@ import multiprocessing
 import os
 import threading
 import time
-import weakref
 from collections import deque
+from operator import attrgetter
 
 import inspect
 
@@ -96,14 +96,6 @@ _SERVICE_KEYS = ("checkpoint_every", "poll_interval", "anomaly_threshold")
 _SUMMARY_KEYS = ("admitted", "duplicates", "late", "stragglers",
                  "dropped_tasks", "resolved_slots")
 
-#: Health counters summed across partitions into the merged record.
-_HEALTH_SUMS = (
-    "windows_published", "anomalies", "n_revealed", "n_pending",
-    "n_admitted", "n_duplicates", "n_late", "n_stragglers",
-    "n_dropped_tasks", "n_retained_tasks", "n_compacted_tasks",
-    "n_records_seen",
-)
-
 
 def entry_partition(slot: int, n_partitions: int, block: int) -> int:
     """Which partition owns global entry slot *slot* (block-cyclic)."""
@@ -129,6 +121,9 @@ def _partition_service_main(config, checkpoint_path, restore, authkey, conn):
     parent process disappears (an orphaned partition must not outlive
     its router).
     """
+    # A forked child inherits the router's registry; the router's series
+    # are the router's, so the partition reports only what it owns.
+    telemetry.set_registry(telemetry.MetricsRegistry(telemetry.enabled()))
     try:
         if restore and checkpoint_path and os.path.exists(checkpoint_path):
             service = EstimatorService.from_checkpoint(checkpoint_path)
@@ -307,6 +302,23 @@ class IngestRouter:
         Seconds a partition process gets to come up.
     """
 
+    #: The router's own counts, named once (see
+    #: :class:`repro.telemetry.Counts`); its ``health`` section reads them.
+    COUNTS = telemetry.Counts(
+        n_records_routed="repro_router_records_routed_total",
+        n_parked=("repro_router_parked_records", attrgetter("_n_parked")),
+        n_unroutable="repro_router_unroutable_total",
+        n_restarts="repro_router_restarts_total",
+        n_spool_evicted=(
+            "repro_router_spool_evicted_total",
+            lambda router: sum(h.n_spool_evicted for h in router._partitions),
+        ),
+        spool_records=(
+            "repro_router_spool_records",
+            lambda router: sum(h.spool_records for h in router._partitions),
+        ),
+    )
+
     def __init__(
         self,
         n_partitions: int,
@@ -336,8 +348,10 @@ class IngestRouter:
             raise IngestError(
                 f"unknown service_config keys: {sorted(unknown)}"
             )
-        if "estimator" in service_config:
-            get_estimator(service_config["estimator"])  # validate eagerly
+        # Validated eagerly; its COUNTS merge the partitions' sections.
+        self._estimator_cls = get_estimator(
+            service_config.get("estimator", "stem")
+        )
         self.n_partitions = int(n_partitions)
         self.block = int(block)
         self.checkpoint_dir = checkpoint_dir
@@ -373,33 +387,7 @@ class IngestRouter:
         self._probe_thread: threading.Thread | None = None
         self._probe_error: str | None = None
         self._started = False
-        if telemetry.enabled():
-            self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Pre-register the router's metric surface (weakref-bound gauges
-        so a closed router does not linger in the registry)."""
-        telemetry.counter("repro_router_records_routed_total")
-        telemetry.counter("repro_router_unroutable_total")
-        telemetry.counter("repro_router_spool_evicted_total")
-        telemetry.counter("repro_router_restarts_total")
-        ref = weakref.ref(self)
-
-        def _parked() -> float:
-            router = ref()
-            if router is None:
-                return float("nan")
-            with router._route_lock:
-                return float(router._n_parked)
-
-        def _spool() -> float:
-            router = ref()
-            if router is None:
-                return float("nan")
-            return float(sum(h.spool_records for h in router._partitions))
-
-        telemetry.gauge_callback("repro_router_parked_records", _parked)
-        telemetry.gauge_callback("repro_router_spool_records", _spool)
+        self.COUNTS.bind(self)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -477,8 +465,7 @@ class IngestRouter:
         ):
             self._restore_partition(handle)
             return
-        health = handle.client.health()
-        meta = health.get("checkpoint_meta") or {}
+        meta = handle.client.health()["service"]["checkpoint_meta"] or {}
         handle.trim_spool(int(meta.get("n_seen", 0)))
 
     def _restore_partition(self, handle: _PartitionHandle) -> None:
@@ -493,15 +480,11 @@ class IngestRouter:
         """
         handle.n_restarts += 1
         self.n_restarts += 1
-        if telemetry.enabled():
-            telemetry.counter("repro_router_restarts_total").inc()
         handle.stop(graceful=False)
         handle.spawn(restore=True)
         try:
-            health = handle.client.health()
-            covered = int(
-                (health.get("checkpoint_meta") or {}).get("n_seen", 0)
-            )
+            meta = handle.client.health()["service"]["checkpoint_meta"]
+            covered = int((meta or {}).get("n_seen", 0))
         except IngestError:
             covered = 0
         handle.trim_spool(covered)
@@ -608,19 +591,13 @@ class IngestRouter:
                 merged[key] += int(summary.get(key, 0))
             self._spool(self._partitions[p], batch,
                         int(summary.get("n_seen", 0)))
-        n_routed = sum(len(b) for b in groups.values())
         with self._route_lock:
-            self.n_records_routed += n_routed
+            self.n_records_routed += sum(len(b) for b in groups.values())
             merged["parked"] = self._n_parked
-        if n_routed and telemetry.enabled():
-            telemetry.counter(
-                "repro_router_records_routed_total"
-            ).inc(n_routed)
         return merged
 
     def _spool(self, handle: _PartitionHandle, batch, clock: int) -> None:
         """Record an acked batch for post-crash replay (bounded)."""
-        n_evicted = 0
         with handle.lock:
             handle.spool.append((clock, batch))
             handle.spool_records += len(batch)
@@ -631,11 +608,6 @@ class IngestRouter:
                 _, evicted = handle.spool.popleft()
                 handle.spool_records -= len(evicted)
                 handle.n_spool_evicted += len(evicted)
-                n_evicted += len(evicted)
-        if n_evicted and telemetry.enabled():
-            telemetry.counter(
-                "repro_router_spool_evicted_total"
-            ).inc(n_evicted)
 
     def advance_watermark(self, t: float) -> float:
         """Advance every partition's watermark; returns the tier's
@@ -656,10 +628,6 @@ class IngestRouter:
             self._parked.clear()
             self._n_parked = 0
             self._sealed = True
-        if dropped and telemetry.enabled():
-            telemetry.counter(
-                "repro_router_unroutable_total"
-            ).inc(dropped)
         merged: dict = {"unroutable_records": dropped}
         for p in range(self.n_partitions):
             summary = self._forward(p, "seal")
@@ -713,7 +681,11 @@ class IngestRouter:
 
     def health(self) -> dict:
         """One merged health record: tier status, per-partition records,
-        and the router's own vital signs."""
+        and the router's own vital signs.
+
+        Each merged section is the sum of the partitions' nested
+        sections over the owning component's ``COUNTS`` table — the
+        same counts the partitions' ``metrics`` series read."""
         partitions: list[dict] = []
         for p in range(self.n_partitions):
             try:
@@ -721,7 +693,10 @@ class IngestRouter:
             except (IngestError, ReproError, OSError) as exc:
                 partitions.append({"status": "unreachable",
                                    "error": str(exc)})
-        statuses = [h.get("status") for h in partitions]
+        # An unreachable partition's stub doubles as its service section.
+        services = [h.get("service") or h for h in partitions]
+        streams = [h.get("stream") for h in partitions]
+        statuses = [s.get("status") for s in services]
         if "failed" in statuses:
             status = "failed"
         elif "unreachable" in statuses:
@@ -732,57 +707,44 @@ class IngestRouter:
             status = statuses[0]
         else:
             status = "serving"
-        sums = {
-            key: sum(int(h.get(key) or 0) for h in partitions)
-            for key in _HEALTH_SUMS
-        }
         service = {
             "status": status,
             "error": next(
-                (h["error"] for h in partitions if h.get("error")), None
+                (s["error"] for s in services if s.get("error")), None
             ),
             "horizon": max(
-                (h.get("horizon", 0.0) for h in partitions), default=0.0
+                (s.get("horizon", 0.0) for s in services), default=0.0
             ),
-            "windows_published": sums.pop("windows_published"),
-            "anomalies": sums.pop("anomalies"),
-            "n_records_seen": sums.pop("n_records_seen"),
+            **EstimatorService.COUNTS.total(services),
         }
         stream_section = {
             "watermark": min(
-                (h["watermark"] for h in partitions if "watermark" in h),
-                default=0.0,
+                (s["watermark"] for s in streams if s), default=0.0
             ),
-            "sealed": all(h.get("sealed", False) for h in partitions),
-            **sums,
-        }
-        record: dict = {
-            "schema": 1,
-            "service": service,
-            "stream": stream_section,
-            "workers": None,
+            "sealed": all(s is not None and s["sealed"] for s in streams),
+            **LiveTraceStream.COUNTS.total(streams),
         }
         with self._route_lock:
             router = {
                 "n_partitions": self.n_partitions,
                 "block": self.block,
-                "n_records_routed": self.n_records_routed,
-                "n_parked": self._n_parked,
-                "n_unroutable": self.n_unroutable,
-                "n_restarts": self.n_restarts,
-                "n_spool_evicted": sum(
-                    h.n_spool_evicted for h in self._partitions
-                ),
-                "spool_records": sum(
-                    h.spool_records for h in self._partitions
-                ),
+                **self.COUNTS.read(self),
                 "restarts_per_partition": [
                     h.n_restarts for h in self._partitions
                 ],
                 "probe_error": self._probe_error,
             }
-        record["router"] = router
-        record["partitions"] = partitions
+        record = {
+            "schema": 1,
+            "service": service,
+            "stream": stream_section,
+            "workers": None,
+            "estimator": self._estimator_cls.COUNTS.total(
+                h.get("estimator") for h in partitions
+            ),
+            "router": router,
+            "partitions": partitions,
+        }
         return flatten_health(record)
 
     def metrics_report(self, fmt: str = "snapshot"):

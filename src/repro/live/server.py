@@ -69,6 +69,13 @@ class LiveServer:
         stuck or impostor peer cannot wedge its handler thread forever.
     """
 
+    #: The server's own counts, named once (see
+    #: :class:`repro.telemetry.Counts`); ``stats()`` is their section.
+    COUNTS = telemetry.Counts(
+        n_rejected="repro_server_rejected_connections_total",
+        n_dispatch_errors="repro_server_dispatch_errors_total",
+    )
+
     def __init__(
         self,
         service,
@@ -99,13 +106,7 @@ class LiveServer:
         self.n_dispatch_errors = 0
         #: Human-readable description of the newest unexpected failure.
         self.last_dispatch_error: str | None = None
-        if telemetry.enabled():
-            reg = telemetry.get_registry()
-            for command in COMMANDS:
-                reg.counter("repro_server_requests_total", command=command)
-            reg.counter("repro_server_dispatch_errors_total")
-            reg.counter("repro_server_rejected_connections_total")
-            reg.histogram("repro_server_request_seconds")
+        self.COUNTS.bind(self)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -181,10 +182,6 @@ class LiveServer:
         if not authenticated:
             with self._lock:
                 self.n_rejected += 1
-            if telemetry.enabled():
-                telemetry.counter(
-                    "repro_server_rejected_connections_total"
-                ).inc()
             try:
                 conn.close()
             except OSError:
@@ -220,9 +217,9 @@ class LiveServer:
                              f"{COMMANDS}")
         command, *args = message
         reg = telemetry.get_registry()
+        reg.counter("repro_server_requests_total", command=command).inc()
         if not reg.enabled:
             return self._dispatch_command(command, args)
-        reg.counter("repro_server_requests_total", command=command).inc()
         t_start = time.perf_counter()
         try:
             return self._dispatch_command(command, args)
@@ -271,8 +268,6 @@ class LiveServer:
             with self._lock:
                 self.n_dispatch_errors += 1
                 self.last_dispatch_error = f"{command}: {description}"
-            if telemetry.enabled():
-                telemetry.counter("repro_server_dispatch_errors_total").inc()
             return (
                 "error",
                 f"internal error handling {command!r}: {description}",
@@ -282,8 +277,7 @@ class LiveServer:
         """The server's own counters (merged into ``health`` replies)."""
         with self._lock:
             return {
-                "n_rejected": self.n_rejected,
-                "n_dispatch_errors": self.n_dispatch_errors,
+                **self.COUNTS.read(self),
                 "last_dispatch_error": self.last_dispatch_error,
             }
 

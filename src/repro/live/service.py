@@ -39,6 +39,7 @@ import threading
 import time
 import traceback
 from dataclasses import replace
+from operator import attrgetter
 
 from repro import telemetry
 from repro.errors import IngestError
@@ -79,10 +80,13 @@ def render_metrics_report(report: dict, fmt: str):
 def flatten_health(record: dict) -> dict:
     """Mirror a schema-1 health record's nested sections as flat keys.
 
-    Compatibility shim for pre-schema consumers (one release only):
-    every key of ``service`` and ``stream`` reappears at the top level,
-    exactly as the flat records of earlier releases spelled them.  The
-    ``workers`` and ``server`` sections were already flat keys before.
+    Compatibility shim for pre-schema consumers: every key of
+    ``service`` and ``stream`` reappears at the top level, exactly as
+    the flat records of earlier releases spelled them.  The ``workers``
+    and ``server`` sections were already flat keys before.  The
+    benchmark's ``perfbench/serve_webapp.py`` still reads the flat
+    ``status`` and ``windows_published``; the shim goes once it reads
+    ``health["service"]`` instead.
     """
     flat = dict(record)
     for section in ("service", "stream"):
@@ -139,6 +143,26 @@ class EstimatorService:
         Robust z-score above which a published window is flagged (see
         :func:`~repro.online.anomaly.detect_anomalies`).
     """
+
+    #: Every count the service reports, named once (see
+    #: :class:`repro.telemetry.Counts`).  Published windows and the ingest
+    #: clock come back from a checkpoint (anomalies are re-detected over
+    #: them), so a restored service resumes these series.
+    COUNTS = telemetry.Counts(
+        windows_published=(
+            "repro_service_windows_published_total",
+            lambda service: len(service._published),
+        ),
+        anomalies=(
+            "repro_service_anomalies_total",
+            lambda service: len(service._anomalies),
+        ),
+        n_records_seen="repro_service_records_seen_total",
+        checkpoint_bytes=(
+            "repro_service_checkpoint_bytes",
+            attrgetter("last_checkpoint_bytes"),
+        ),
+    )
 
     def __init__(
         self,
@@ -203,16 +227,7 @@ class EstimatorService:
         self._thread: threading.Thread | None = None
         self._status = "idle"
         self._error: str | None = None
-        if telemetry.enabled():
-            # Pre-register the service's metric names so a metrics reply
-            # carries the full surface from the first scrape on.
-            reg = telemetry.get_registry()
-            reg.counter("repro_service_windows_published_total")
-            reg.counter("repro_service_anomalies_total")
-            reg.counter("repro_service_records_seen_total")
-            reg.histogram("repro_service_publish_seconds")
-            reg.histogram("repro_service_checkpoint_seconds")
-            reg.gauge("repro_service_checkpoint_bytes")
+        self.COUNTS.bind(self)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -335,7 +350,6 @@ class EstimatorService:
         latency = (
             float("nan") if started is None else time.monotonic() - started
         )
-        n_new_anomalies = 0
         with self._lock:
             self._published.append(estimate)
             self.published_at.append(time.time())
@@ -353,19 +367,10 @@ class EstimatorService:
                     self._anomalies.append(
                         replace(report, window_index=report.window_index + offset)
                     )
-                    n_new_anomalies += 1
             self._windows_since_checkpoint += 1
             due = self._windows_since_checkpoint >= self.checkpoint_every
-        if telemetry.enabled():
-            telemetry.counter("repro_service_windows_published_total").inc()
-            if n_new_anomalies:
-                telemetry.counter("repro_service_anomalies_total").inc(
-                    n_new_anomalies
-                )
-            if started is not None:
-                telemetry.histogram("repro_service_publish_seconds").observe(
-                    latency
-                )
+        if started is not None and telemetry.enabled():
+            telemetry.histogram("repro_service_publish_seconds").observe(latency)
         if due:
             # Capture now, write in the background: publishing must not
             # wait on checkpoint I/O.
@@ -421,53 +426,38 @@ class EstimatorService:
         """One versioned status record (the ``health`` command).
 
         Schema 1 nests the record into ``service`` / ``stream`` /
-        ``workers`` sections (``stream`` and ``workers`` are ``None``
-        when the service has no live stream / no worker pool; the wire
-        server adds a ``server`` section).  Every pre-schema flat key is
-        still mirrored at the top level for one release — see
-        :func:`flatten_health`.
+        ``workers`` / ``estimator`` sections (``stream`` and ``workers``
+        are ``None`` when the service has no live stream / no worker
+        pool; the wire server adds a ``server`` section).  Every count
+        is read from its owner's ``COUNTS`` table, the same reads the
+        ``metrics`` series make.  The flat pre-schema keys are still
+        mirrored at the top level — see :func:`flatten_health`.
         """
         with self._lock:
             status = self._status
             error = self._error
-            n_published = len(self._published)
-            n_anomalies = len(self._anomalies)
         stream = self.stream
+        estimator = self.estimator
         service = {
             "status": status,
             "error": error,
-            "windows_published": n_published,
-            "anomalies": n_anomalies,
             "horizon": float(stream.horizon),
             "checkpointing": self.checkpoint_path is not None,
-            "checkpoint_bytes": self.last_checkpoint_bytes,
             "checkpoint_error": self._ckpt_error,
             "checkpoint_meta": self.last_checkpoint_meta,
-            "n_records_seen": self.n_records_seen,
+            **self.COUNTS.read(self),
         }
-        stream_section = None
-        if isinstance(stream, LiveTraceStream):
-            stream_section = {
-                "watermark": float(stream.watermark),
-                "sealed": stream.sealed,
-                "n_revealed": stream.n_revealed,
-                "n_pending": stream.n_pending,
-                "n_admitted": stream.n_admitted,
-                "n_duplicates": stream.n_duplicates,
-                "n_late": stream.n_late,
-                "n_stragglers": stream.n_stragglers,
-                "n_dropped_tasks": stream.n_dropped_tasks,
-                "n_retained_tasks": stream.n_retained_tasks,
-                "n_compacted_tasks": stream.n_compacted_tasks,
-            }
         record = {
             "schema": 1,
             "service": service,
-            "stream": stream_section,
+            "stream": (
+                stream.health() if isinstance(stream, LiveTraceStream) else None
+            ),
             # Shard-worker liveness (None when the estimator is unpooled):
             # a monitoring consumer sees a killed worker here before the
             # next window trips over it, and the relaunch tally after.
-            "workers": self.estimator.pool_stats(),
+            "workers": estimator.pool_stats(),
+            "estimator": estimator.COUNTS.read(estimator),
         }
         return flatten_health(record)
 
@@ -497,10 +487,6 @@ class EstimatorService:
             # The clock rides the ack: a router tags its replay-spool
             # entries with it and compares against checkpoint coverage.
             summary["n_seen"] = self.n_records_seen
-        if telemetry.enabled():
-            telemetry.counter("repro_service_records_seen_total").inc(
-                len(records)
-            )
         return summary
 
     def advance_watermark(self, t: float) -> float:
@@ -569,9 +555,6 @@ class EstimatorService:
             if telemetry.enabled():
                 telemetry.histogram("repro_service_checkpoint_seconds").observe(
                     time.perf_counter() - t_start
-                )
-                telemetry.gauge("repro_service_checkpoint_bytes").set(
-                    self.last_checkpoint_bytes
                 )
 
     def _checkpoint_now(self, wait: bool = True) -> None:
@@ -648,11 +631,8 @@ class EstimatorService:
             )
         stream = LiveTraceStream.from_state(snapshot["stream"])
         est_state = snapshot["estimator"]
-        # Dispatch on the estimator name the checkpoint carries (older
-        # snapshots predate the registry and were always StEM); the
-        # config mapping may be any checkpoint version — EstimatorConfig
-        # fills fields the capturing build did not have yet.
-        estimator_cls = get_estimator(est_state.get("estimator", "stem"))
+        # Dispatch on the estimator name the checkpoint carries.
+        estimator_cls = get_estimator(est_state.get("estimator"))
         estimator = estimator_cls(
             stream,
             transport=transport,

@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,11 +80,6 @@ from repro.live.records import IncrementalAssembler, assemble_trace, record_time
 from repro.observation import ObservedTrace
 from repro.online.streaming import TraceStream
 
-# Per-registry cache of the stream's counter/histogram handles so the
-# per-batch ingest cost is a few lock-free dict reads, not registry
-# lookups (the overhead gate in bench_telemetry.py watches this path).
-_METRIC_HANDLES: tuple | None = None
-
 _MEMORY_CONTAINERS = (
     "buffered_records", "retained_tasks", "retained_events",
     "reveal_positions", "ready_entries", "slot_entries", "resolved_slots",
@@ -92,50 +87,15 @@ _MEMORY_CONTAINERS = (
 )
 
 
-def _stream_metrics() -> dict:
-    global _METRIC_HANDLES
-    reg = telemetry.get_registry()
-    cached = _METRIC_HANDLES
-    if cached is not None and cached[0] is reg:
-        return cached[1]
-    handles = {
-        "batches": reg.counter("repro_stream_ingest_batches_total"),
-        "admitted": reg.counter("repro_stream_records_admitted_total"),
-        "duplicates": reg.counter("repro_stream_records_duplicate_total"),
-        "late": reg.counter("repro_stream_records_late_total"),
-        "stragglers": reg.counter("repro_stream_records_straggler_total"),
-        "dropped_tasks": reg.counter("repro_stream_tasks_dropped_total"),
-        "revealed": reg.counter("repro_stream_tasks_revealed_total"),
-        "tasks_compacted": reg.counter("repro_stream_tasks_compacted_total"),
-        "events_compacted": reg.counter("repro_stream_events_compacted_total"),
-        "batch_seconds": reg.histogram("repro_stream_ingest_batch_seconds"),
-    }
-    _METRIC_HANDLES = (reg, handles)
-    return handles
-
-
-def _register_stream_gauges(stream: "LiveTraceStream") -> None:
-    """Bind the buffer gauges to *stream* via weakref (a replaced stream
-    must not be kept alive by its telemetry callbacks)."""
-    reg = telemetry.get_registry()
-    ref = weakref.ref(stream)
-
-    def _attr(name):
-        def _value():
-            live = ref()
-            return float("nan") if live is None else float(getattr(live, name))
-        return _value
-
-    def _mem(key):
-        def _value():
-            live = ref()
-            return float("nan") if live is None else float(live.memory_stats()[key])
-        return _value
-
-    reg.gauge_callback("repro_stream_watermark", _attr("watermark"))
-    reg.gauge_callback("repro_stream_horizon", _attr("_horizon"))
+def _bind_stream_gauges(stream: "LiveTraceStream") -> None:
+    """Bind the buffer gauges to *stream* (weakref-held, newest wins)."""
+    telemetry.bind(stream, "repro_stream_watermark", attrgetter("watermark"))
+    telemetry.bind(stream, "repro_stream_horizon", attrgetter("_horizon"))
     for key in _MEMORY_CONTAINERS:
-        reg.gauge_callback("repro_stream_memory", _mem(key), container=key)
+        telemetry.bind(
+            stream, "repro_stream_memory",
+            lambda live, key=key: live.memory_stats()[key], container=key,
+        )
 
 
 @dataclass
@@ -221,6 +181,23 @@ class LiveTraceStream(TraceStream):
         memory and checkpoint size for an always-on stream.
     """
 
+    #: Every count the stream reports, named once (see
+    #: :class:`repro.telemetry.Counts`): ``health`` key and attribute ->
+    #: metric series.  The attributes are the only place these are kept;
+    #: a snapshot carries them, so a restored stream resumes its series.
+    COUNTS = telemetry.Counts(
+        n_revealed="repro_stream_tasks_revealed_total",
+        n_pending=None,
+        n_admitted="repro_stream_records_admitted_total",
+        n_duplicates="repro_stream_records_duplicate_total",
+        n_late="repro_stream_records_late_total",
+        n_stragglers="repro_stream_records_straggler_total",
+        n_dropped_tasks="repro_stream_tasks_dropped_total",
+        n_retained_tasks=None,
+        n_compacted_tasks="repro_stream_tasks_compacted_total",
+        n_compacted_events="repro_stream_events_compacted_total",
+    )
+
     def __init__(
         self,
         n_queues: int,
@@ -299,15 +276,14 @@ class LiveTraceStream(TraceStream):
         self._ready_upto = 0  # entry-prefix positions already revealed
         self._cursor = 0
         self._horizon = 0.0  # last revealed entry (survives trimming)
-        # Telemetry.
+        # Admission counts (see COUNTS).
         self.n_admitted = 0
         self.n_duplicates = 0
         self.n_late = 0
         self.n_stragglers = 0
         self.n_dropped_tasks = 0
-        if telemetry.enabled():
-            _stream_metrics()  # pre-register the stream counter names
-            _register_stream_gauges(self)
+        self.COUNTS.bind(self)
+        _bind_stream_gauges(self)
 
     # ------------------------------------------------------------------
     # Ingestion API.
@@ -329,28 +305,23 @@ class LiveTraceStream(TraceStream):
             the assembler drains), or if a record is malformed or
             conflicts with an already admitted one.
         """
+        reg = telemetry.get_registry()
+        reg.counter("repro_stream_ingest_batches_total").inc()
+        if not reg.enabled:
+            return self._ingest_locked(records)
+        t_start = time.perf_counter()
+        try:
+            return self._ingest_locked(records)
+        finally:
+            reg.histogram("repro_stream_ingest_batch_seconds").observe(
+                time.perf_counter() - t_start
+            )
+
+    def _ingest_locked(self, records: list[dict]) -> dict:
         summary = {
             "admitted": 0, "duplicates": 0, "late": 0,
             "stragglers": 0, "dropped_tasks": 0,
         }
-        reg = telemetry.get_registry()
-        if not reg.enabled:
-            return self._ingest_locked(records, summary)
-        t_start = time.perf_counter()
-        try:
-            return self._ingest_locked(records, summary)
-        finally:
-            # Counted even when the batch aborted part-way (backpressure):
-            # the series must agree with the stream's own n_* attributes.
-            metrics = _stream_metrics()
-            metrics["batches"].inc()
-            for key in ("admitted", "duplicates", "late", "stragglers",
-                        "dropped_tasks"):
-                if summary[key]:
-                    metrics[key].inc(summary[key])
-            metrics["batch_seconds"].observe(time.perf_counter() - t_start)
-
-    def _ingest_locked(self, records: list[dict], summary: dict) -> dict:
         with self._lock:
             if self._sealed:
                 raise IngestError("the stream is sealed; no more records")
@@ -588,6 +559,14 @@ class LiveTraceStream(TraceStream):
         with self._lock:
             return self._n_buffered
 
+    def health(self) -> dict:
+        """The stream's section of a ``health`` record."""
+        return {
+            "watermark": float(self.watermark),
+            "sealed": self.sealed,
+            **self.COUNTS.read(self),
+        }
+
     def wait_for_progress(self, timeout: float | None = None) -> None:
         """Block until ingestion/watermark/seal makes progress (or timeout)."""
         with self._progress:
@@ -745,8 +724,6 @@ class LiveTraceStream(TraceStream):
             ):
                 out.append(self._ready[self._cursor - self._ready_offset])
                 self._cursor += 1
-        if out and telemetry.enabled():
-            _stream_metrics()["revealed"].inc(len(out))
         return out
 
     def subset(self, task_ids) -> ObservedTrace:
@@ -884,12 +861,7 @@ class LiveTraceStream(TraceStream):
                 del self._reveal_anchors[:cut]
                 self._reveal_offset = trim_to
                 self._entry_values = None
-            out = {"compacted_tasks": k, "compacted_events": m}
-        if telemetry.enabled():
-            metrics = _stream_metrics()
-            metrics["tasks_compacted"].inc(k)
-            metrics["events_compacted"].inc(m)
-        return out
+            return {"compacted_tasks": k, "compacted_events": m}
 
     def _fold_summary(
         self, trace: ObservedTrace, k: int, m: int, p_end: int
@@ -1011,24 +983,32 @@ class LiveTraceStream(TraceStream):
     def from_state(cls, state: dict) -> "LiveTraceStream":
         """Rebuild a stream from :meth:`snapshot_state` output.
 
-        Accepts version 1 (pre-compaction) and version 2 snapshots.  The
-        retained record log replays through the incremental assembler
+        The retained record log replays through the incremental assembler
         (falling back to the sort-based path exactly when the original
-        did), reveal state is restored verbatim (v2) or recomputed from
-        the record log (v1), and the poll cursor returns to where the
-        snapshot left it — so the next :meth:`poll` hands the estimator
-        exactly the tasks it had not yet consumed.
+        did), reveal state is restored verbatim, and the poll cursor
+        returns to where the snapshot left it — so the next :meth:`poll`
+        hands the estimator exactly the tasks it had not yet consumed.
+        Only the current snapshot version (2) is accepted.
         """
         version = state.get("version")
-        if version not in (1, 2):
+        if version != 2:
             raise IngestError(
                 f"unrecognized stream snapshot version: {version!r}"
             )
+        try:
+            return cls._restore(state)
+        except KeyError as exc:
+            raise IngestError(
+                f"corrupt snapshot: missing field {exc.args[0]!r}"
+            ) from None
+
+    @classmethod
+    def _restore(cls, state: dict) -> "LiveTraceStream":
         stream = cls(
             n_queues=state["n_queues"],
             lateness=state["lateness"],
             max_pending=state["max_pending"],
-            retain=state.get("retain"),
+            retain=state["retain"],
         )
         stream._watermark = state["watermark"]
         stream._sealed = state["sealed"]
@@ -1060,42 +1040,33 @@ class LiveTraceStream(TraceStream):
             if stream._resolved.get(slot) == "final"
         }
         n_polled = int(state["n_polled"])
-        if version == 1:
-            # Pre-compaction snapshot: recompute the reveal columns from
-            # the record log, the deterministic path ingestion takes.
-            for task, ordered in stream._final_records.items():
-                stream._append_reveal_columns(task, ordered)
-            stream._advance_reveal()
-        else:
-            stream._reveal_offset = int(state["reveal_offset"])
-            stream._reveal_tasks = [int(t) for t in state["reveal_tasks"]]
-            stream._reveal_anchors = [
-                float(a) for a in state["reveal_anchors"]
-            ]
-            stream._ready_offset = int(state["ready_offset"])
-            stream._ready = [(int(t), float(e)) for t, e in state["ready"]]
-            stream._ready_upto = int(state["ready_upto"])
-            stream._horizon = float(state["horizon"])
-            stream._compacted_upto = int(state["compacted_upto"])
-            hwm = state["compacted_hwm"]
-            stream._compacted_hwm = None if hwm is None else int(hwm)
-            stream._compacted_slot_upto = int(state["compacted_slot_upto"])
-            stream.n_compacted_events = int(state["n_compacted_events"])
-            summary = state["compaction_summary"]
-            if summary is not None:
-                stream._summary = CompactionSummary.from_dict(summary)
-            # Integrity: every retained (non-compacted) reveal position
-            # must be backed by its task's records.
-            start = stream._compacted_upto - stream._reveal_offset
-            if any(
-                t not in stream._final_records
-                for t in stream._reveal_tasks[start:]
-            ):
-                raise IngestError(
-                    "corrupt snapshot: revealed tasks are missing from the "
-                    "record log"
-                )
-            stream._advance_reveal()
+        stream._reveal_offset = int(state["reveal_offset"])
+        stream._reveal_tasks = [int(t) for t in state["reveal_tasks"]]
+        stream._reveal_anchors = [float(a) for a in state["reveal_anchors"]]
+        stream._ready_offset = int(state["ready_offset"])
+        stream._ready = [(int(t), float(e)) for t, e in state["ready"]]
+        stream._ready_upto = int(state["ready_upto"])
+        stream._horizon = float(state["horizon"])
+        stream._compacted_upto = int(state["compacted_upto"])
+        hwm = state["compacted_hwm"]
+        stream._compacted_hwm = None if hwm is None else int(hwm)
+        stream._compacted_slot_upto = int(state["compacted_slot_upto"])
+        stream.n_compacted_events = int(state["n_compacted_events"])
+        summary = state["compaction_summary"]
+        if summary is not None:
+            stream._summary = CompactionSummary.from_dict(summary)
+        # Integrity: every retained (non-compacted) reveal position must
+        # be backed by its task's records.
+        start = stream._compacted_upto - stream._reveal_offset
+        if any(
+            t not in stream._final_records
+            for t in stream._reveal_tasks[start:]
+        ):
+            raise IngestError(
+                "corrupt snapshot: revealed tasks are missing from the "
+                "record log"
+            )
+        stream._advance_reveal()
         if n_polled > stream._ready_offset + len(stream._ready):
             raise IngestError(
                 f"corrupt snapshot: {n_polled} tasks were polled but only "

@@ -32,6 +32,7 @@ dispatch construction on.  Configuration is one shared
 from typing import Protocol, runtime_checkable
 
 from repro.errors import InferenceError
+from repro.telemetry import Counts
 from repro.online.config import (
     EstimatorConfig,
     REPARTITION_MODES,
@@ -61,10 +62,13 @@ class StreamEstimatorProtocol(Protocol):
     ``repro stream/serve/route`` CLIs; the wire protocol never sees
     which flavor is running.  ``estimator_name`` is the registry key
     carried in ``state_dict()["estimator"]`` so a checkpoint knows which
-    class to rebuild.
+    class to rebuild.  ``COUNTS`` (a :class:`repro.telemetry.Counts`)
+    names the estimator's counts: its ``health`` section and the series
+    the ``metrics`` command reads them through.
     """
 
     estimator_name: str
+    COUNTS: Counts
     stream: "TraceStream"
     config: EstimatorConfig
     n_windows_done: int

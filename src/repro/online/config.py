@@ -8,7 +8,7 @@ is now the single source of truth: estimators hold one, checkpoints carry
 against :func:`estimator_config_keys`, and the CLI builds one instance and
 hands it to whichever estimator the ``--estimator`` flag names.
 
-Validation lives in ``__post_init__`` so every path — legacy kwargs, the
+Validation lives in ``__post_init__`` so every path — keyword knobs, the
 ``config=`` spelling, checkpoint restore, router service configs — rejects
 bad values with the same messages the old constructor raised.
 """
@@ -38,6 +38,36 @@ class EstimatorConfig:
     ``ess_threshold``, ``rejuvenation_sweeps``) are ignored by StEM.
     Both estimators honor ``kernel``/``threads``/``worker_retries`` and
     the window geometry.
+
+    Attributes
+    ----------
+    window / step / stem_iterations / min_observed_tasks:
+        As in :class:`~repro.online.windowed.WindowedEstimator`.
+    shards:
+        Sharded sweeps per window (clamped to each window's task count).
+    shard_workers:
+        With ``shards > 1``: host the shard sweeps on this many worker
+        processes — one warm
+        :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
+        stream, or with ``warm_workers=False`` a dedicated pool per
+        window (the cold-rebuild baseline ``benchmarks/bench_streaming.py``
+        measures against).  Results are bitwise identical either way.
+    repartition:
+        ``"incremental"`` carries the task partition across windows via
+        :func:`~repro.inference.shard.refresh_partition`, maximizing
+        warm-shard reuse; ``"cold"`` re-partitions every window, which
+        keeps every window bitwise equal to the windowed estimator.
+    kernel / threads:
+        Sweep kernel (``"array"``, its JIT lowering ``"native"``, or
+        ``"object"``; see :class:`~repro.inference.gibbs.GibbsSampler`)
+        and its thread count; draws are bitwise invariant to threads.
+    worker_retries:
+        Times a window whose worker pool died under it is re-run on a
+        relaunched pool before its failure is recorded as data; a retry
+        re-derives its draws from the same per-window seed child.
+    n_particles / ess_threshold / rejuvenation_sweeps:
+        The SMC population size, its resampling trigger (a fraction of
+        ``n_particles``), and the Gibbs sweeps per rejuvenation.
     """
 
     window: float
@@ -114,23 +144,16 @@ class EstimatorConfig:
 
     @classmethod
     def from_state(cls, config: Mapping) -> "EstimatorConfig":
-        """Rebuild from a checkpoint's config mapping, any version.
-
-        Older checkpoints predate some fields (v1 lacked ``kernel``/
-        ``threads``; pre-SMC v2 lacked the particle knobs) — every
-        missing field falls back to its dataclass default, which matches
-        what those estimators actually ran with.
-        """
-        state = dict(config)
-        for field in fields(cls):
-            if field.default is not dataclasses.MISSING:
-                state.setdefault(field.name, field.default)
-        unknown = set(state) - {field.name for field in fields(cls)}
-        if unknown:
+        """Rebuild from a checkpoint's config mapping: every field, no
+        other key (a checkpoint stores :meth:`as_dict`)."""
+        names = set(estimator_config_keys())
+        missing, unknown = names - set(config), set(config) - names
+        if missing or unknown:
             raise InferenceError(
-                f"unknown estimator config keys: {sorted(unknown)}"
+                "checkpoint config does not match this build's fields: "
+                f"missing {sorted(missing)}, unknown {sorted(unknown)}"
             )
-        return cls(**state)
+        return cls(**config)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "EstimatorConfig":

@@ -151,8 +151,13 @@ class SMCEstimator(StreamingEstimator):
 
     estimator_name = "smc"
 
-    def __init__(self, stream, *args, **kwargs) -> None:
-        super().__init__(stream, *args, **kwargs)
+    COUNTS = telemetry.Counts(
+        **StreamingEstimator.COUNTS.rows,
+        n_rejuvenations="repro_smc_rejuvenations_total",
+    )
+
+    def __init__(self, stream, **kwargs) -> None:
+        super().__init__(stream, **kwargs)
         if self.shards != 1 or self.shard_workers:
             raise InferenceError(
                 "the SMC estimator rejuvenates every particle in-process "
@@ -396,8 +401,6 @@ class SMCEstimator(StreamingEstimator):
         self._thetas = thetas
         self._log_weights = np.zeros(self.n_particles)
         self.n_rejuvenations += 1
-        if telemetry.enabled():
-            telemetry.counter("repro_smc_rejuvenations_total").inc()
 
     @staticmethod
     def _gamma_refresh(

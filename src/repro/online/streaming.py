@@ -51,7 +51,11 @@ from repro.observation import ObservedTrace
 
 # Re-exported for backward compatibility (REPARTITION_MODES lived here
 # before the config extraction).
-from repro.online.config import REPARTITION_MODES, EstimatorConfig
+from repro.online.config import (
+    REPARTITION_MODES,
+    EstimatorConfig,
+    estimator_config_keys,
+)
 from repro.online.windowed import (
     WindowEstimate,
     _entry_time_estimates,
@@ -186,21 +190,18 @@ class StreamingEstimator:
     stream:
         The revealed trace (a :class:`ReplayTraceStream` for recorded
         data).
-    window / step / stem_iterations / min_observed_tasks / random_state:
-        As in :class:`~repro.online.windowed.WindowedEstimator` — and
-        seeded identically: window *i* consumes the *i*-th spawn of the
-        seed material, so a frozen window matches the windowed path
-        bitwise.
-    shards:
-        Sharded sweeps per window (clamped to each window's task count).
-    shard_workers:
-        With ``shards > 1``: host the shard sweeps on this many worker
-        processes.  Warm by default (one
-        :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
-        stream); ``warm_workers=False`` spawns and tears down a dedicated
-        pool per window instead — the cold-rebuild baseline the streaming
-        design exists to beat (``benchmarks/bench_streaming.py`` asserts
-        it does).  Results are bitwise identical either way.
+    config / **knobs:
+        The estimator's :class:`~repro.online.config.EstimatorConfig`,
+        or its fields as keywords (``window=...``, ``stem_iterations=...``;
+        the dataclass documents every knob) — one spelling or the other,
+        never both.
+    random_state:
+        Seed material, spawned once per window: window *i* consumes the
+        *i*-th child, as in
+        :class:`~repro.online.windowed.WindowedEstimator`, so a frozen
+        window matches the windowed path bitwise.  ``stream``,
+        ``random_state`` and ``transport`` stay outside the config
+        because they are runtime substrate, not configuration.
     transport:
         Worker transport for the pool (see
         :mod:`repro.inference.transport`); pipes by default, sockets for
@@ -208,85 +209,33 @@ class StreamingEstimator:
         :meth:`close` (and therefore :meth:`run`) also closes the
         transport, releasing e.g. a
         :class:`~repro.inference.transport.SocketTransport` listener.
-    repartition:
-        ``"incremental"`` (default) carries the task partition across
-        windows via
-        :func:`~repro.inference.shard.refresh_partition`, maximizing
-        warm-shard reuse; ``"cold"`` re-partitions every window from
-        scratch, which keeps every window bitwise equal to the windowed
-        estimator (the equivalence-test mode).
-    kernel:
-        Sweep kernel for every window's E-step chains (see
-        :class:`~repro.inference.gibbs.GibbsSampler`): ``"array"``
-        (default), its JIT-compiled lowering ``"native"``, or
-        ``"object"``.
-    threads:
-        Thread count for the batch kernels' chunked evaluation; draws
-        are bitwise invariant to it.
-    worker_retries:
-        How many times a window whose worker pool died under it (a
-        killed or crashed worker process) is re-run on a relaunched pool
-        before its failure is recorded as data.  Operational policy, not
-        statistical state: a retried window re-derives its draws from
-        the same per-window seed child, so the estimate is bitwise what
-        an uninterrupted run would have published.
-    config:
-        The one-argument spelling: a prebuilt
-        :class:`~repro.online.config.EstimatorConfig` instead of the
-        individual knobs above.  Mutually exclusive with ``window``;
-        ``stream``/``random_state``/``transport`` stay separate because
-        they are runtime substrate, not configuration.
     """
 
     #: Registry name carried in checkpoints (see ``repro.online.ESTIMATORS``).
     estimator_name = "stem"
 
+    #: The estimator's counts, named once (see
+    #: :class:`repro.telemetry.Counts`): its ``health`` section.
+    COUNTS = telemetry.Counts(
+        n_worker_relaunches="repro_worker_relaunches_total",
+    )
+
     def __init__(
         self,
         stream: TraceStream,
-        window: float | None = None,
-        step: float | None = None,
-        stem_iterations: int = 40,
-        min_observed_tasks: int = 3,
-        random_state: RandomState = None,
-        shards: int = 1,
-        shard_workers: int | None = None,
-        transport: WorkerTransport | None = None,
-        repartition: str = "incremental",
-        warm_workers: bool = True,
-        kernel: str = "array",
-        threads: int = 1,
-        worker_retries: int = 1,
-        n_particles: int = 16,
-        ess_threshold: float = 0.5,
-        rejuvenation_sweeps: int = 1,
+        *,
         config: EstimatorConfig | None = None,
+        random_state: RandomState = None,
+        transport: WorkerTransport | None = None,
+        **knobs,
     ) -> None:
-        if config is not None:
-            if window is not None:
-                raise InferenceError(
-                    "pass either config= or the individual knobs, not both"
-                )
-        elif window is None:
-            raise InferenceError("either window= or config= is required")
-        else:
-            # The legacy kwarg spelling is a shim over the dataclass:
-            # same knobs, same validation, same error messages.
-            config = EstimatorConfig(
-                window=window,
-                step=step,
-                stem_iterations=stem_iterations,
-                min_observed_tasks=min_observed_tasks,
-                shards=shards,
-                shard_workers=shard_workers,
-                repartition=repartition,
-                warm_workers=warm_workers,
-                kernel=kernel,
-                threads=threads,
-                worker_retries=worker_retries,
-                n_particles=n_particles,
-                ess_threshold=ess_threshold,
-                rejuvenation_sweeps=rejuvenation_sweeps,
+        if config is None:
+            if knobs.get("window") is None:
+                raise InferenceError("either window= or config= is required")
+            config = EstimatorConfig(**knobs)
+        elif knobs:
+            raise InferenceError(
+                "pass either config= or the individual knobs, not both"
             )
         #: The estimator's validated configuration (single source of truth;
         #: the knob attributes below are read-only views into it).
@@ -305,6 +254,7 @@ class StreamingEstimator:
         self.n_windows_done = 0
         #: Pools relaunched after dying mid-window (fault observability).
         self.n_worker_relaunches = 0
+        self.COUNTS.bind(self)
 
     # ------------------------------------------------------------------
     # Config views.
@@ -414,16 +364,13 @@ class StreamingEstimator:
         stream must be positioned where the snapshot left it (the live
         stream's own snapshot carries that).
         """
-        captured_by = state.get("estimator", "stem")
+        captured_by = state.get("estimator")
         if captured_by != self.estimator_name:
             raise InferenceError(
                 f"checkpoint was captured by the {captured_by!r} estimator, "
                 f"but this is the {self.estimator_name!r} estimator — "
                 "construct the matching estimator from the checkpoint"
             )
-        # Older checkpoints predate some config fields (v1 lacked
-        # kernel/threads; pre-SMC v2 lacked the particle knobs); they were
-        # captured under the implicit defaults, so restore them as such.
         config = EstimatorConfig.from_state(state["config"]).as_dict()
         mine = self.config.as_dict()
         if config != mine:
@@ -507,13 +454,12 @@ class StreamingEstimator:
         """
         estimate = self._process_window(t0)
         self._compact_stream()
-        if telemetry.enabled():
-            if estimate.rates is not None:
-                telemetry.counter("repro_windows_processed_total").inc()
-            elif estimate.failure is not None:
-                telemetry.counter("repro_windows_failed_total").inc()
-            else:
-                telemetry.counter("repro_windows_skipped_total").inc()
+        if estimate.rates is not None:
+            telemetry.counter("repro_windows_processed_total").inc()
+        elif estimate.failure is not None:
+            telemetry.counter("repro_windows_failed_total").inc()
+        else:
+            telemetry.counter("repro_windows_skipped_total").inc()
         return estimate
 
     def _compact_stream(self) -> None:
@@ -613,8 +559,6 @@ class StreamingEstimator:
                     # resident — and re-run this window from its own seed.
                     relaunches_left -= 1
                     self.n_worker_relaunches += 1
-                    if telemetry.enabled():
-                        telemetry.counter("repro_worker_relaunches_total").inc()
                     continue
                 failure = str(exc)  # a failed window is data, not a crash
             break
@@ -670,10 +614,8 @@ def _config_view(name: str) -> property:
 # Knob attributes delegate to ``self.config`` so there is exactly one copy
 # of every setting; read sites (service health, CLI summaries, tests) keep
 # working unchanged.
-for _name in (
-    "window", "step", "stem_iterations", "min_observed_tasks", "shards",
-    "shard_workers", "repartition", "warm_workers", "kernel", "threads",
-    "n_particles", "ess_threshold", "rejuvenation_sweeps",
-):
-    setattr(StreamingEstimator, _name, _config_view(_name))
+# ``worker_retries`` keeps its own property, the one with a setter.
+for _name in estimator_config_keys():
+    if not hasattr(StreamingEstimator, _name):
+        setattr(StreamingEstimator, _name, _config_view(_name))
 del _name

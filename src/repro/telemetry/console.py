@@ -220,14 +220,15 @@ def render_top(
         value = _metric_total(metrics, name)
         return "-" if value is None else str(int(value))
 
-    lines.append(
-        "ingest  admitted "
-        + _count("repro_stream_records_admitted_total")
-        + "  dup " + _count("repro_stream_records_duplicate_total")
-        + "  late " + _count("repro_stream_records_late_total")
-        + "  straggler " + _count("repro_stream_records_straggler_total")
-        + "  dropped " + _count("repro_stream_tasks_dropped_total")
-    )
+    # Admission counts come from health, which reports them even with
+    # the metrics export turned off (REPRO_TELEMETRY=0).
+    lines.append("ingest  " + "  ".join(
+        f"{label} {stream.get(key, '-')}" for label, key in (
+            ("admitted", "n_admitted"), ("dup", "n_duplicates"),
+            ("late", "n_late"), ("straggler", "n_stragglers"),
+            ("dropped", "n_dropped_tasks"),
+        )
+    ))
     lines.append(
         "kernel  sweeps "
         + _count("repro_kernel_sweeps_total")

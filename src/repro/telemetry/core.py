@@ -3,13 +3,16 @@
 ``MetricsRegistry`` holds three metric kinds behind per-metric locks:
 
 * ``Counter`` -- monotonic float, ``inc(amount)``.
-* ``Gauge`` -- last-write-wins float, or a zero-argument callback
-  evaluated lazily at snapshot time (never while a registry or metric
-  lock is held, so callbacks may take their own locks).
+* ``Gauge`` -- last-write-wins float.
 * ``Histogram`` -- fixed log-spaced buckets plus a bounded reservoir
   (Algorithm R with a name-seeded ``random.Random``) for approximate
   quantiles.  The reservoir never touches numpy RNG state, so
   instrumented runs stay bitwise-equal to uninstrumented ones.
+
+A counter or gauge may instead read a zero-argument callback evaluated
+lazily at snapshot time (never while a registry or metric lock is held,
+so callbacks may take their own locks); that is how a component's own
+counts reach the registry without being counted twice.
 
 On top of the metrics sit per-window pipeline traces: ``phase(name)``
 is a context manager that times a pipeline phase into the
@@ -18,9 +21,10 @@ trace is open on the current thread, folds the span into that trace;
 ``window_trace(index, t0, t1)`` opens a ``WindowTrace`` that lands in a
 bounded ring buffer for wire exposition.
 
-Everything short-circuits when ``registry.enabled`` is false: the hot
-paths pay one attribute read and a branch, which is what lets
-``bench_telemetry.py`` pin the enabled-vs-disabled overhead within 3%.
+Phases, window traces and the snapshot short-circuit when
+``registry.enabled`` is false: the hot paths pay one attribute read and
+a branch, which is what lets ``bench_telemetry.py`` pin the
+enabled-vs-disabled overhead within 3%.
 """
 
 from __future__ import annotations
@@ -76,48 +80,16 @@ class _Metric:
         }
 
 
-class Counter(_Metric):
-    kind = "counter"
-    __slots__ = ("_value",)
+class _Scalar(_Metric):
+    """One stored value, or a zero-argument callback evaluated lazily at
+    snapshot time (see :meth:`MetricsRegistry.callback`)."""
 
-    def __init__(self, name, labels, help=""):
-        super().__init__(name, labels, help)
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise TelemetryError(f"counter {self.name} cannot decrease (inc({amount!r}))")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot_data(self) -> dict:
-        data = self._base_data()
-        data["value"] = self.value
-        return data
-
-
-class Gauge(_Metric):
-    kind = "gauge"
     __slots__ = ("_value", "_callback")
 
     def __init__(self, name, labels, help=""):
         super().__init__(name, labels, help)
         self._value = 0.0
         self._callback = None
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._callback = None
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
 
     def set_callback(self, fn) -> None:
         """Evaluate ``fn()`` at snapshot time instead of a stored value."""
@@ -141,6 +113,31 @@ class Gauge(_Metric):
         data = self._base_data()
         data["value"] = self.value
         return data
+
+
+class Counter(_Scalar):
+    kind = "counter"
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise TelemetryError(f"counter {self.name} cannot decrease (inc({amount!r}))")
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
+    kind = "gauge"
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._callback = None
+            self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
 
 
 class Histogram(_Metric):
@@ -353,10 +350,14 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def gauge_callback(self, name: str, fn, **labels) -> Gauge:
-        g = self._get(Gauge, name, labels)
-        g.set_callback(fn)
-        return g
+    def callback(self, name: str, fn, **labels) -> Counter | Gauge:
+        """Series *name* reads ``fn()`` at snapshot time, as the kind the
+        spec documents (a gauge when undocumented).  Binding a series
+        again replaces its callback: the newest binding wins."""
+        cls = Counter if _spec.kind_of(name) == "counter" else Gauge
+        metric = self._get(cls, name, labels)
+        metric.set_callback(fn)
+        return metric
 
     def histogram(self, name: str, buckets=None, **labels) -> Histogram:
         if buckets is None:

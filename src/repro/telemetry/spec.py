@@ -8,7 +8,9 @@ the codebase appears here exactly once -- adding a metric without
 documenting it, or documenting one that nothing emits, fails the suite.
 
 Counters end in ``_total`` (Prometheus v0 convention); histograms carry
-``_seconds`` / ``_bytes`` style unit suffixes where applicable.
+``_seconds`` / ``_bytes`` style unit suffixes where applicable.  A help
+text naming a health key marks a series read from its owner's attribute
+(see ``repro.telemetry.Counts``): in-process it follows the newest owner.
 """
 
 from __future__ import annotations
@@ -21,28 +23,39 @@ SPEC: dict[str, tuple[str, str, str]] = {
     # -- live stream ----------------------------------------------------
     "repro_stream_records_admitted_total": (
         "counter", "stream",
-        "Measurement records admitted into the live stream buffer."),
+        "Measurement records admitted into the live stream buffer "
+        "(health n_admitted; restored from a checkpoint)."),
     "repro_stream_records_duplicate_total": (
         "counter", "stream",
-        "Records dropped because their (task, field) slot was already filled."),
+        "Records dropped because their (task, seq) slot was already filled "
+        "(health n_duplicates; restored from a checkpoint)."),
     "repro_stream_records_late_total": (
         "counter", "stream",
-        "Records rejected for arriving behind the reveal frontier minus the lateness bound."),
+        "Records admitted behind the watermark: within the lateness bound, or "
+        "the last missing piece of a buffered task (health n_late; restored "
+        "from a checkpoint)."),
     "repro_stream_records_straggler_total": (
         "counter", "stream",
-        "Late records salvaged into not-yet-revealed tasks within the lateness bound."),
+        "Records older than the watermark minus the lateness bound, or for an "
+        "already dropped task, dropped with their task (health n_stragglers; "
+        "restored from a checkpoint)."),
     "repro_stream_tasks_dropped_total": (
         "counter", "stream",
-        "Tasks evicted by the max_pending backpressure bound."),
+        "Tasks that can never be assembled: purged stragglers, plus tasks and "
+        "entry slots still incomplete at seal (health n_dropped_tasks; "
+        "restored from a checkpoint)."),
     "repro_stream_tasks_revealed_total": (
         "counter", "stream",
-        "Tasks revealed to pollers by watermark advances."),
+        "Tasks handed to the estimator by poll() (health n_revealed; restored "
+        "from a checkpoint)."),
     "repro_stream_tasks_compacted_total": (
         "counter", "stream",
-        "Aged-out tasks folded into compaction summaries and evicted."),
+        "Aged-out tasks folded into compaction summaries and evicted (health "
+        "n_compacted_tasks; restored from a checkpoint)."),
     "repro_stream_events_compacted_total": (
         "counter", "stream",
-        "Events folded into compaction summaries and evicted."),
+        "Events folded into compaction summaries and evicted (health "
+        "n_compacted_events; restored from a checkpoint)."),
     "repro_stream_ingest_batches_total": (
         "counter", "stream",
         "ingest() batches admitted over all transports."),
@@ -74,13 +87,15 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Windows that exhausted worker-relaunch retries and published a failure."),
     "repro_worker_relaunches_total": (
         "counter", "estimator",
-        "Warm shard worker pool relaunches after a worker death."),
+        "Warm shard worker pool relaunches after a worker death, since the "
+        "estimator was built (health estimator.n_worker_relaunches)."),
     "repro_smc_ess": (
         "gauge", "estimator",
         "Effective sample size of the SMC particle population after the last reweight."),
     "repro_smc_rejuvenations_total": (
         "counter", "estimator",
-        "ESS-triggered systematic resample + Gibbs rejuvenation passes."),
+        "ESS-triggered systematic resample + Gibbs rejuvenation passes (health "
+        "estimator.n_rejuvenations; restored from a checkpoint)."),
     # -- sweep kernels --------------------------------------------------
     "repro_kernel_sweeps_total": (
         "counter", "kernel",
@@ -100,10 +115,12 @@ SPEC: dict[str, tuple[str, str, str]] = {
     # -- estimator service ----------------------------------------------
     "repro_service_windows_published_total": (
         "counter", "service",
-        "Window estimates appended to the published series."),
+        "Window estimates in the published series, including windows restored "
+        "from a checkpoint (health windows_published)."),
     "repro_service_anomalies_total": (
         "counter", "service",
-        "Anomaly flags raised by the publish-path detector."),
+        "Anomaly flags raised by the publish-path detector, including flags "
+        "re-detected over restored windows (health anomalies)."),
     "repro_service_publish_seconds": (
         "histogram", "service",
         "Monotonic latency from window pickup to publish completion."),
@@ -112,10 +129,12 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Wall time writing one checkpoint snapshot."),
     "repro_service_checkpoint_bytes": (
         "gauge", "service",
-        "Size of the last checkpoint written, in bytes."),
+        "Size of the last checkpoint this process wrote, in bytes; 0 before "
+        "the first (health checkpoint_bytes)."),
     "repro_service_records_seen_total": (
         "counter", "service",
-        "Measurement records accepted by EstimatorService.ingest()."),
+        "Measurement records accepted by EstimatorService.ingest(), resumed "
+        "from a checkpoint's ingest clock (health n_records_seen)."),
     # -- wire layer ------------------------------------------------------
     "repro_server_requests_total": (
         "counter", "wire",
@@ -125,29 +144,35 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Wall time handling one wire request."),
     "repro_server_dispatch_errors_total": (
         "counter", "wire",
-        "Unexpected exceptions inside command dispatch."),
+        "Unexpected exceptions inside command dispatch (health "
+        "server.n_dispatch_errors)."),
     "repro_server_rejected_connections_total": (
         "counter", "wire",
-        "Connections rejected at the authentication handshake."),
+        "Connections rejected at the authentication handshake (health "
+        "server.n_rejected)."),
     # -- ingest router ---------------------------------------------------
     "repro_router_records_routed_total": (
         "counter", "router",
-        "Records routed to a partition (including spooled-for-replay copies)."),
+        "Records forwarded to a partition, parked ones once they leave the park "
+        "(health router.n_records_routed)."),
     "repro_router_unroutable_total": (
         "counter", "router",
-        "Records dropped because no entry key could be derived."),
+        "Parked records dropped at seal because their task's entry record never "
+        "arrived (health router.n_unroutable)."),
     "repro_router_parked_records": (
         "gauge", "router",
-        "Records parked waiting for a restarting partition."),
+        "Records parked until their task's entry record names an owner partition "
+        "(health router.n_parked)."),
     "repro_router_spool_records": (
         "gauge", "router",
-        "Records held in per-partition replay spools."),
+        "Records held in per-partition replay spools (health router.spool_records)."),
     "repro_router_spool_evicted_total": (
         "counter", "router",
-        "Spooled records evicted before replay by the spool bound."),
+        "Spooled records evicted before replay by the spool bound (health "
+        "router.n_spool_evicted)."),
     "repro_router_restarts_total": (
         "counter", "router",
-        "Partition service restarts from checkpoint."),
+        "Partition service restarts from checkpoint (health router.n_restarts)."),
 }
 
 #: Non-default bucket boundaries, for histograms that do not measure seconds.

@@ -2,15 +2,24 @@
 command, parametrized over both serving front-ends (single
 EstimatorService behind a LiveServer, and a shared-nothing IngestRouter
 tier) so the two can never drift apart.
+
+The last group pins one source of truth per count: every series a
+component's ``COUNTS`` table exposes reads, in ``metrics``, exactly the
+owner's attribute and its ``health`` field — after a normal drain, after
+a seal that drops unfinishable tasks, and after a restore from a
+checkpoint into a fresh registry.
 """
 
 import json
+import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.errors import IngestError
 from repro.live import (
     EstimatorService,
     IngestRouter,
@@ -21,8 +30,10 @@ from repro.live import (
 )
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
+from repro.online import SMCEstimator
 from repro.online.streaming import StreamingEstimator
 from repro.simulate import simulate_network
+from repro.telemetry.spec import kind_of
 
 #: Sections every schema-1 health record must carry.
 SECTIONS = ("service", "stream", "workers")
@@ -237,3 +248,264 @@ class TestWireRoundTrip:
                         assert "repro_server_requests_total" in names
                 finally:
                     service.stop()
+
+
+# ----------------------------------------------------------------------
+# One source of truth per count: metrics == owner attribute == health.
+# ----------------------------------------------------------------------
+
+#: Tasks whose closing (``last``) record is never shipped, so the seal
+#: must drop them as unfinishable.
+UNFINISHABLE = (11, 23, 35, 47, 59)
+
+#: Health section -> the table of the component that owns it.  The SMC
+#: estimator's table is a superset of StEM's, so SMC covers every series.
+TABLES = {
+    "service": EstimatorService.COUNTS,
+    "stream": LiveTraceStream.COUNTS,
+    "estimator": SMCEstimator.COUNTS,
+    "server": LiveServer.COUNTS,
+}
+
+CASES = ("drained", "sealed-with-drops", "restored")
+
+
+def owned(table):
+    """``(key, series)`` for every row with a metric twin."""
+    return [
+        (key, name) for key, (name, _) in table.rows.items() if name is not None
+    ]
+
+
+def counter_counts(health, tables):
+    """Every counter-kind count a health record reports, by section."""
+    return {
+        section: {
+            key: health[section][key]
+            for key, name in owned(table) if kind_of(name) == "counter"
+        }
+        for section, table in tables.items()
+    }
+
+
+def series_value(snapshot, name, **labels):
+    """The one value of series *name* carrying exactly *labels*."""
+    want = {key: str(value) for key, value in labels.items()}
+    values = [
+        m["value"] for m in snapshot["metrics"]
+        if m["name"] == name and m["labels"] == want
+    ]
+    assert len(values) == 1, (name, want, values)
+    return values[0]
+
+
+def contract_config(trace, horizon):
+    return {
+        "n_queues": trace.skeleton.n_queues,
+        "window": horizon / 4,
+        "step": horizon / 8,
+        "estimator": "smc",
+        "stem_iterations": 6,
+        "min_observed_tasks": 2,
+        "n_particles": 8,
+        "random_state": 5,
+        "poll_interval": 0.02,
+    }
+
+
+def ship(client, trace, case, part=slice(None)):
+    """Replay batches *part* of *trace* over *client*, holding back the
+    closing records of UNFINISHABLE in the drops case."""
+    withheld = UNFINISHABLE if case == "sealed-with-drops" else ()
+    for watermark, batch in replay_batches(trace, batch_tasks=16)[part]:
+        client.advance_watermark(watermark)
+        client.ingest([
+            r for r in batch if not (r["last"] and r["task"] in withheld)
+        ])
+
+
+def knock_with_the_wrong_key(address):
+    """One handshake rejection, so the server's rejected count is not 0."""
+    with pytest.raises(IngestError):
+        LiveClient(address, authkey=b"not-the-key")
+
+
+def settled(client, owners, timeout=120.0):
+    """``(health, metrics, attributes)`` once the service has finished
+    and health reads before and after the metrics read and the owners'
+    attribute reads agree (a background checkpoint may still land right
+    after the status flips to finished, and the router's probe trims its
+    spools on its own schedule).  *owners* maps a health section to its
+    ``(table, owner)``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        before = client.health()
+        if before["service"]["status"] in ("finished", "failed"):
+            metrics = client.metrics("snapshot")
+            attributes = {
+                section: table.read(owner)
+                for section, (table, owner) in owners.items()
+            }
+            after = client.health()
+            if all(after.get(k) == before.get(k) for k in (*TABLES, "router")):
+                assert after["service"]["status"] == "finished", after
+                return after, metrics, attributes
+        time.sleep(0.05)
+    raise AssertionError("service did not settle in time")
+
+
+def service_owners(service, server):
+    return {
+        "service": (EstimatorService.COUNTS, service),
+        "stream": (LiveTraceStream.COUNTS, service.stream),
+        "estimator": (SMCEstimator.COUNTS, service.estimator),
+        "server": (LiveServer.COUNTS, server),
+    }
+
+
+def run_service(case, workdir, enabled=True):
+    """Drive one EstimatorService behind a LiveServer through *case*."""
+    trace, horizon = make_trace()
+    config = contract_config(trace, horizon)
+    path = os.path.join(workdir, "service.ckpt")
+    with telemetry.isolated(enabled=enabled):
+        stream = LiveTraceStream(n_queues=config.pop("n_queues"))
+        config.pop("estimator")
+        poll_interval = config.pop("poll_interval")
+        estimator = SMCEstimator(stream, **config)
+        service = EstimatorService(
+            estimator, checkpoint_path=path, poll_interval=poll_interval
+        )
+        with service, LiveServer(service) as server:
+            knock_with_the_wrong_key(server.address)
+            with LiveClient(server.address) as client:
+                ship(client, trace, case)
+                client.seal()
+                result = settled(client, service_owners(service, server))
+    if case == "restored":
+        # A fresh registry: the restored owners must resume every series
+        # from the checkpoint, not count from zero.
+        with telemetry.isolated(enabled=enabled):
+            service = EstimatorService.from_checkpoint(path)
+            with service, LiveServer(service) as server:
+                knock_with_the_wrong_key(server.address)
+                with LiveClient(server.address) as client:
+                    result = settled(client, service_owners(service, server))
+    return result
+
+
+def run_router(case, workdir, enabled=True):
+    """Drive a two-partition tier behind a LiveServer through *case*; in
+    the restored case partition 0 is SIGKILLed after its first
+    checkpoint and restored from it mid-stream."""
+    trace, horizon = make_trace()
+    with telemetry.isolated(enabled=enabled):
+        with IngestRouter(
+            2, contract_config(trace, horizon), block=8,
+            checkpoint_dir=workdir, probe_interval=0.2,
+        ) as router, LiveServer(router) as server:
+            knock_with_the_wrong_key(server.address)
+            with LiveClient(server.address) as client:
+                if case == "restored":
+                    ship(client, trace, case, slice(None, 6))
+                    deadline = time.monotonic() + 60.0
+                    while not client.health()["partitions"][0]["service"][
+                        "checkpoint_meta"
+                    ]:
+                        assert time.monotonic() < deadline, "no checkpoint"
+                        time.sleep(0.05)
+                    victim = router._partitions[0].process
+                    os.kill(victim.pid, signal.SIGKILL)
+                    victim.join(10.0)
+                    ship(client, trace, case, slice(6, None))
+                else:
+                    ship(client, trace, case)
+                client.seal()
+                result = settled(client, {
+                    "router": (IngestRouter.COUNTS, router),
+                    "server": (LiveServer.COUNTS, server),
+                })
+    if case == "restored":
+        assert result[0]["router"]["restarts_per_partition"][0] >= 1
+    return result
+
+
+@pytest.fixture(scope="module")
+def contract_runs(tmp_path_factory):
+    """Each (front-end, case) scenario, run once for the module."""
+    cache = {}
+
+    def get(front, case, enabled=True):
+        key = (front, case, enabled)
+        if key not in cache:
+            workdir = str(tmp_path_factory.mktemp(f"{front}-{case}"))
+            runner = run_service if front == "service" else run_router
+            cache[key] = runner(case, workdir, enabled)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_each_count_reads_the_same_in_metrics_and_health(
+    contract_runs, front, case
+):
+    health, metrics, attributes = contract_runs(front, case)
+    n_checked = 0
+
+    def check(section_body, table, attribute=None, **labels):
+        nonlocal n_checked
+        for key, name in owned(table):
+            value = series_value(metrics, name, **labels)
+            assert value == (section_body[key] or 0), (name, labels)
+            if attribute is not None:
+                assert attribute[key] == section_body[key], (name, labels)
+            n_checked += 1
+
+    if front == "service":
+        for section, table in TABLES.items():
+            check(health[section], table, attributes[section])
+    else:
+        check(health["router"], IngestRouter.COUNTS, attributes["router"])
+        check(health["server"], LiveServer.COUNTS, attributes["server"])
+        # A partition's owners live in its own process: its health
+        # sections are their attribute reads.
+        for p, partition in enumerate(health["partitions"]):
+            for section, table in TABLES.items():
+                check(partition[section], table, partition=p)
+        # The merged sections are the partitions' sums.
+        for section in ("service", "stream", "estimator"):
+            for key, _ in owned(TABLES[section]):
+                assert health[section][key] == sum(
+                    part[section][key] or 0 for part in health["partitions"]
+                ), (section, key)
+        # Only the router reports the router's series: a partition is
+        # forked from the router, but starts a registry of its own.
+        assert not [
+            m for m in metrics["metrics"]
+            if m["name"].startswith("repro_router_") and m["labels"]
+        ]
+    # Every owned series is exposed: 8 stream + 4 service + 2 estimator +
+    # 2 server counts per service, plus the router's own 6.
+    assert n_checked == (16 if front == "service" else 2 * 16 + 6 + 2)
+    if case == "sealed-with-drops":
+        assert health["stream"]["n_dropped_tasks"] == len(UNFINISHABLE)
+    if case == "restored":
+        assert health["stream"]["n_admitted"] > 0
+    assert health["server"]["n_rejected"] == 1
+
+
+@pytest.mark.parametrize("front", ["service", "router"])
+def test_counts_do_not_depend_on_telemetry(contract_runs, front):
+    """REPRO_TELEMETRY=0 turns the metrics export off, never the counts
+    health reports: the same ingest sequence counts identically."""
+    on, _, _ = contract_runs(front, "sealed-with-drops", enabled=True)
+    off, off_metrics, _ = contract_runs(front, "sealed-with-drops",
+                                        enabled=False)
+    assert off_metrics["metrics"] == []
+    tables = dict(TABLES)
+    if front == "router":
+        tables["router"] = IngestRouter.COUNTS
+    assert counter_counts(off, tables) == counter_counts(on, tables)
+    assert off["stream"]["n_dropped_tasks"] == len(UNFINISHABLE)

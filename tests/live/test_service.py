@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import IngestError
+from repro.errors import IngestError, InferenceError
 from repro.live import (
     EstimatorService,
     LiveTraceStream,
@@ -229,6 +229,27 @@ class TestCheckpointRestore:
         path.write_bytes(pickle.dumps({"version": 99}))
         with pytest.raises(IngestError, match="checkpoint version"):
             EstimatorService.from_checkpoint(str(path))
+
+    def test_restore_rejects_a_checkpoint_without_an_estimator_name(
+        self, tmp_path
+    ):
+        import pickle
+
+        trace, horizon = make_trace(n_tasks=40)
+        stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        path = str(tmp_path / "service.ckpt")
+        service = EstimatorService(
+            make_estimator(stream, horizon, windows=1), checkpoint_path=path
+        )
+        service.ingest(trace_to_records(trace))
+        service.checkpoint()
+        with open(path, "rb") as fh:
+            snapshot = pickle.load(fh)
+        del snapshot["estimator"]["estimator"]
+        with open(path, "wb") as fh:
+            pickle.dump(snapshot, fh)
+        with pytest.raises(InferenceError, match="unknown estimator None"):
+            EstimatorService.from_checkpoint(path)
 
     def test_checkpoint_is_skipped_without_a_path(self):
         trace, horizon = make_trace(n_tasks=80)

@@ -465,25 +465,27 @@ class TestSnapshot:
         with pytest.raises(IngestError, match="snapshot version"):
             LiveTraceStream.from_state(state)
 
-    def test_version1_snapshots_still_restore(self):
-        """Snapshots written before compaction existed (version 1) must
-        keep restoring: reveal state is recomputed from the record log."""
+    def test_version1_snapshots_are_rejected(self):
+        """Snapshots written before compaction existed (version 1), or a
+        current one missing a field, fail with IngestError — never a
+        KeyError, and never a silently recomputed reveal state."""
         trace, _ = make_trace(n_tasks=60)
         stream = ingested(trace)
-        polled = stream.poll(float("inf"))
+        stream.poll(float("inf"))
         state = stream.snapshot_state()
         v1_keys = (
             "n_queues", "lateness", "max_pending", "watermark", "sealed",
             "buffer", "expected", "slot_task", "resolved", "next_slot",
             "final_records", "dropped_tasks", "n_polled", "counters",
         )
-        restored = LiveTraceStream.from_state(
-            {"version": 1, **{k: state[k] for k in v1_keys}}
-        )
-        assert restored.n_revealed == len(polled)
-        assert restored.poll(float("inf")) == []
-        assert restored.horizon == stream.horizon
-        assert restored.retain is None
+        with pytest.raises(IngestError, match="snapshot version: 1"):
+            LiveTraceStream.from_state(
+                {"version": 1, **{k: state[k] for k in v1_keys}}
+            )
+        for key in ("retain", "reveal_offset", "counters"):
+            partial = {k: v for k, v in state.items() if k != key}
+            with pytest.raises(IngestError, match=f"missing field '{key}'"):
+                LiveTraceStream.from_state(partial)
 
 
 class TestCompaction:

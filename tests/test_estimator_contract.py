@@ -117,15 +117,17 @@ class TestEstimatorConfig:
         with pytest.raises(InferenceError, match="thread"):
             EstimatorConfig(window=1.0, threads=0)
 
-    def test_from_state_fills_missing_fields_and_rejects_unknown(self):
+    def test_from_state_rejects_missing_and_unknown_keys(self):
         state = EstimatorConfig(window=2.0).as_dict()
+        assert EstimatorConfig.from_state(state) == EstimatorConfig(window=2.0)
         for skew in ("worker_retries", "n_particles", "ess_threshold",
                      "rejuvenation_sweeps", "kernel", "threads"):
-            state.pop(skew)
-        restored = EstimatorConfig.from_state(state)
-        assert restored == EstimatorConfig(window=2.0)
-        with pytest.raises(InferenceError, match="unknown"):
-            EstimatorConfig.from_state({"window": 2.0, "particles": 8})
+            partial = dict(state)
+            partial.pop(skew)
+            with pytest.raises(InferenceError, match=f"missing \\['{skew}'\\]"):
+                EstimatorConfig.from_state(partial)
+        with pytest.raises(InferenceError, match=r"unknown \['particles'\]"):
+            EstimatorConfig.from_state({**state, "particles": 8})
 
     def test_legacy_kwargs_and_config_build_identically(self):
         trace, horizon = make_trace(n_tasks=80)
@@ -147,6 +149,11 @@ class TestEstimatorConfig:
         with pytest.raises(InferenceError, match="not both"):
             StreamingEstimator(
                 ReplayTraceStream(trace), window=horizon,
+                config=EstimatorConfig(window=horizon),
+            )
+        with pytest.raises(InferenceError, match="not both"):
+            StreamingEstimator(
+                ReplayTraceStream(trace), stem_iterations=3,
                 config=EstimatorConfig(window=horizon),
             )
         with pytest.raises(InferenceError, match="window= or config="):

@@ -364,10 +364,11 @@ class TestStreamingLifecycle:
                 if a.rates is not None:
                     np.testing.assert_allclose(b.rates, a.rates, rtol=1e-6)
 
-    def test_checkpoint_restores_across_kernel_config_versions(self):
-        """A pre-kernel/threads checkpoint (v1 config) restores into a
-        default-configured estimator; an explicit non-default kernel
-        still refuses a default checkpoint."""
+    def test_checkpoint_missing_config_fields_is_rejected(self):
+        """A checkpoint whose config lacks a field (one written before
+        kernel/threads existed) or names no estimator is refused with an
+        InferenceError; an explicit non-default kernel still refuses a
+        default checkpoint."""
         trace, horizon = make_trace(n_tasks=120)
         est = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=5,
@@ -376,21 +377,25 @@ class TestStreamingLifecycle:
         state = est.state_dict()
         assert state["config"]["kernel"] == "array"
         assert state["config"]["threads"] == 1
-        # Strip the new keys to emulate a checkpoint from before they
-        # existed: defaults must be assumed, not a mismatch raised.
-        del state["config"]["kernel"]
-        del state["config"]["threads"]
         fresh = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=5,
             random_state=3,
         )
-        fresh.load_state_dict(state)
         mismatched = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=5,
             random_state=3, threads=2,
         )
         with pytest.raises(InferenceError, match="captured under config"):
             mismatched.load_state_dict(state)
+        old_config = dict(state["config"])
+        del old_config["kernel"]
+        del old_config["threads"]
+        with pytest.raises(InferenceError, match="missing"):
+            fresh.load_state_dict({**state, "config": old_config})
+        unnamed = {k: v for k, v in state.items() if k != "estimator"}
+        with pytest.raises(InferenceError, match="captured by the None"):
+            fresh.load_state_dict(unnamed)
+        fresh.load_state_dict(state)  # the complete checkpoint still loads
 
     def test_warm_pool_reuse_across_runs_is_transparent(self):
         """Adoption diffs survive a recall: a second pass over the same

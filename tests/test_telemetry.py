@@ -75,7 +75,7 @@ class TestGauge:
 
     def test_callback_evaluated_at_read(self, reg):
         state = {"v": 1.0}
-        reg.gauge_callback("repro_stream_horizon", lambda: state["v"])
+        reg.callback("repro_stream_horizon", lambda: state["v"])
         state["v"] = 7.0
         (entry,) = reg.snapshot()
         assert entry["value"] == 7.0
@@ -84,9 +84,49 @@ class TestGauge:
         def boom():
             raise RuntimeError("dead")
 
-        reg.gauge_callback("repro_stream_horizon", boom)
+        reg.callback("repro_stream_horizon", boom)
         (entry,) = reg.snapshot()
         assert math.isnan(entry["value"])
+
+
+class TestOwnedCounts:
+    class Owner:
+        def __init__(self, n):
+            self.n_admitted = n
+            self.n_pending = 2 * n
+
+    COUNTS = telemetry.Counts(
+        n_admitted="repro_stream_records_admitted_total", n_pending=None,
+    )
+
+    def test_bound_series_keep_their_documented_kind(self, reg):
+        owner = self.Owner(3)
+        self.COUNTS.bind(owner)
+        (entry,) = reg.snapshot()
+        assert entry["type"] == "counter" and entry["value"] == 3.0
+        owner.n_admitted = 5  # read at snapshot time, never copied
+        assert reg.snapshot()[0]["value"] == 5.0
+        assert "repro_stream_records_admitted_total 5" in render_prometheus(
+            reg.snapshot()
+        )
+
+    def test_newest_owner_wins_and_a_dead_owner_reads_nan(self, reg):
+        old, new = self.Owner(1), self.Owner(7)
+        self.COUNTS.bind(old)
+        self.COUNTS.bind(new)
+        assert reg.snapshot()[0]["value"] == 7.0
+        del new
+        assert math.isnan(reg.snapshot()[0]["value"])
+
+    def test_read_and_total_cover_every_row(self):
+        sections = [self.COUNTS.read(self.Owner(n)) for n in (1, 4)]
+        assert sections == [
+            {"n_admitted": 1, "n_pending": 2},
+            {"n_admitted": 4, "n_pending": 8},
+        ]
+        assert self.COUNTS.total([*sections, None]) == {
+            "n_admitted": 5, "n_pending": 10,
+        }
 
 
 class TestHistogram:
@@ -274,6 +314,17 @@ class TestConsole:
     def test_empty_inputs_render(self, reg):
         frame = render_top({}, [], {}, None)
         assert "no published windows" in frame
+
+    def test_ingest_counts_come_from_health(self, reg):
+        """With the metrics export off (REPRO_TELEMETRY=0) the snapshot is
+        empty, but health still carries the admission counts."""
+        health, estimates, _, anomalies = self._inputs(reg)
+        health["stream"].update(n_admitted=120, n_duplicates=3, n_late=2,
+                                n_stragglers=1, n_dropped_tasks=4)
+        empty = {"schema": 1, "metrics": [], "window_traces": []}
+        frame = render_top(health, estimates, empty, anomalies)
+        assert ("ingest  admitted 120  dup 3  late 2  straggler 1  dropped 4"
+                in frame)
 
 
 class TestSparklinePrimitives:

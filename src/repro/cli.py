@@ -8,9 +8,9 @@ infer
     Load a trace, censor it to a task-sampled observation rate, run StEM +
     Gibbs, and print parameter estimates plus a bottleneck report.
 stream
-    Replay a trace as an online stream: sliding-window StEM with warm
-    cross-window shard workers, printing the per-window rate series and
-    any anomalies it reveals.
+    Replay a trace as an online stream: sliding-window StEM (optionally
+    sharded over one stream-long worker pool), printing the per-window
+    rate series and any anomalies it reveals.
 serve
     Run the live estimation service: a TCP ingestion + query server
     feeding a LiveTraceStream into the streaming estimator, publishing
@@ -106,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "path)",
     )
     inf.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the batch kernels' chunked evaluation "
-        "(results are bitwise identical at any thread count)",
-    )
-    inf.add_argument(
         "--shards", type=int, default=1,
         help="partition each chain's sweep across this many task shards "
         "(interior moves sweep per shard, only boundary events are "
@@ -165,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="sliding-window estimation over a replayed trace "
-        "(StEM with warm shard workers, or the SMC particle filter)",
+        "(StEM, or the SMC particle filter)",
     )
     stream.add_argument("trace", help="JSONL trace written by `simulate`")
     stream.add_argument(
@@ -183,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--step", type=float, default=None,
         help="window start spacing (default: the window length; smaller "
-        "values overlap windows, which maximizes warm-shard reuse)",
+        "values overlap windows)",
     )
     stream.add_argument("--iterations", type=int, default=30,
                         help="StEM iterations per window")
@@ -194,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--shard-workers", type=int, default=None,
-        help="host the shard sweeps on this many worker processes, kept "
-        "warm across windows (results identical at any worker count)",
+        help="host the shard sweeps on this many worker processes, one "
+        "pool for the whole stream (results identical at any worker count)",
     )
     stream.add_argument(
         "--transport", choices=["pipe", "socket"], default="pipe",
@@ -203,19 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "sockets — the same wire protocol remote workers would speak",
     )
     stream.add_argument(
-        "--cold", action="store_true",
-        help="tear shard workers down after every window instead of "
-        "keeping them warm (the rebuild baseline; same results, slower)",
-    )
-    stream.add_argument(
         "--kernel", choices=["array", "native", "object"], default="array",
         help="sweep kernel for every window's E-step chains ('native' "
         "falls back to 'array' when numba is unavailable)",
-    )
-    stream.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the batch kernels' chunked evaluation "
-        "(results are bitwise identical at any thread count)",
     )
     stream.add_argument(
         "--anomaly-threshold", type=float, default=4.0,
@@ -277,11 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel", choices=["array", "native", "object"], default=None,
         help="sweep kernel for the window E-steps (default: array; "
         "'native' falls back to 'array' when numba is unavailable)",
-    )
-    serve.add_argument(
-        "--threads", type=int, default=None,
-        help="threads for the batch kernels' chunked evaluation "
-        "(default: 1; results are bitwise identical at any count)",
     )
     serve.add_argument(
         "--lateness", type=float, default=None,
@@ -427,11 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "falls back to 'array' when numba is unavailable)",
     )
     route.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the batch kernels' chunked evaluation, per "
-        "service (results are bitwise identical at any count)",
-    )
-    route.add_argument(
         "--lateness", type=float, default=0.0,
         help="grace interval behind the watermark within which measurements "
         "are still admitted; older ones are dropped as stragglers",
@@ -520,8 +495,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             "--shards requires the array kernel or its native lowering "
             "(drop --kernel object)"
         )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
     if args.persistent_workers and args.chains == 1:
         print(
             "note: --persistent-workers with a single chain moves the one "
@@ -532,7 +505,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         trace, n_iterations=args.iterations, random_state=args.seed,
         init_method="heuristic", n_chains=args.chains, kernel=args.kernel,
         persistent_workers=args.persistent_workers, shards=args.shards,
-        threads=args.threads,
     )
     print(f"\nestimated arrival rate lambda = {stem.arrival_rate:.4g}")
     if args.chains > 1:
@@ -584,7 +556,6 @@ _ESTIMATOR_FLAG_FIELDS = (
     ("shards", "shards"),
     ("shard_workers", "shard_workers"),
     ("kernel", "kernel"),
-    ("threads", "threads"),
     ("worker_retries", "worker_retries"),
     ("particles", "n_particles"),
     ("ess_threshold", "ess_threshold"),
@@ -639,8 +610,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "--shards requires the array kernel or its native lowering "
             "(drop --kernel object)"
         )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
     if args.shard_workers is not None and args.shard_workers < 1:
         raise SystemExit("--shard-workers must be at least 1")
     if args.shard_workers is not None and args.shards == 1:
@@ -648,11 +617,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.transport != "pipe" and args.shard_workers is None:
         raise SystemExit(
             "--transport selects the worker transport; pass --shard-workers "
-            "(with --shards > 1) or drop it"
-        )
-    if args.cold and args.shard_workers is None:
-        raise SystemExit(
-            "--cold tears worker pools down per window; pass --shard-workers "
             "(with --shards > 1) or drop it"
         )
     if args.window is not None and args.window <= 0.0:
@@ -672,7 +636,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         args.window if args.window is not None else source.horizon / args.windows
     )
     transport = SocketTransport() if args.transport == "socket" else PipeTransport()
-    config = _estimator_config_from_args(args, window, warm_workers=not args.cold)
+    config = _estimator_config_from_args(args, window)
     estimator = _build_estimator(
         args.estimator, source,
         random_state=args.seed, config=config, transport=transport,
@@ -687,12 +651,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
         rows.append((
             i, f"{est.t_start:.1f}", f"{est.t_end:.1f}", est.n_tasks,
-            est.n_observed_tasks, est.n_shards,
-            f"{est.n_warm_shards}/{est.n_warm_shards + est.n_migrated_shards}",
-            services,
+            est.n_observed_tasks, est.n_shards, services,
         ))
     print(render_table(
-        ["win", "t0", "t1", "tasks", "obs", "shards", "warm", "mean service (q1..)"],
+        ["win", "t0", "t1", "tasks", "obs", "shards", "mean service (q1..)"],
         rows, title="\nstreaming window estimates",
     ))
     reports = detect_anomalies(windows, threshold=args.anomaly_threshold)
@@ -716,7 +678,7 @@ def _authkey(value: str | None) -> bytes:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import IngestError
+    from repro.errors import InferenceError, IngestError
     from repro.live import EstimatorService, LiveServer, LiveTraceStream
 
     if args.restore is not None:
@@ -727,8 +689,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # even when the passed value equals the documented default.
         frozen = (
             "queues", "window", "step", "iterations", "min_observed",
-            "seed", "shards", "shard_workers", "kernel", "threads",
-            "lateness", "max_pending", "retain", "estimator", "particles",
+            "seed", "shards", "shard_workers", "kernel", "lateness",
+            "max_pending", "retain", "estimator", "particles",
             "ess_threshold", "rejuvenation_sweeps", "worker_retries",
         )
         rejected = [
@@ -755,7 +717,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 checkpoint_path=args.checkpoint,
                 **overrides,
             )
-        except (OSError, IngestError) as exc:
+        except (OSError, IngestError, InferenceError) as exc:
             raise SystemExit(f"cannot restore from {args.restore}: {exc}")
         print(f"restored from {args.restore}: "
               f"{len(service.windows())} windows already published")
@@ -777,9 +739,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--shards requires the array kernel or its native lowering "
                 "(drop --kernel object)"
             )
-        threads = 1 if args.threads is None else args.threads
-        if threads < 1:
-            raise SystemExit("--threads must be at least 1")
         estimator_name = "stem" if args.estimator is None else args.estimator
         _reject_smc_sharding(estimator_name, shards, args.shard_workers)
         stream = LiveTraceStream(
@@ -855,8 +814,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "--shards requires the array kernel or its native lowering "
             "(drop --kernel object)"
         )
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
     _reject_smc_sharding(args.estimator, args.shards, args.shard_workers)
     service_config = {
         "n_queues": args.queues,
@@ -867,7 +824,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         "random_state": args.seed,
         "shards": args.shards,
         "kernel": args.kernel,
-        "threads": args.threads,
         "worker_retries": args.worker_retries,
         "n_particles": args.particles,
         "ess_threshold": args.ess_threshold,

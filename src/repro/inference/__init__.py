@@ -81,11 +81,9 @@ from repro.inference.shard import (
     ShardWorkerPool,
     ShardedSweepEngine,
     TaskPartition,
-    WarmShardWorkerPool,
     boundary_event_sets,
     build_shard_plan,
     partition_tasks,
-    refresh_partition,
     task_interaction_graph,
 )
 from repro.inference.stem import StEMResult, run_stem
@@ -118,11 +116,9 @@ __all__ = [
     "ShardWorkerPool",
     "ShardedSweepEngine",
     "TaskPartition",
-    "WarmShardWorkerPool",
     "boundary_event_sets",
     "build_shard_plan",
     "partition_tasks",
-    "refresh_partition",
     "task_interaction_graph",
     "WorkerTransport",
     "PipeTransport",

@@ -163,25 +163,15 @@ class GibbsSampler:
         sharded sweep at any worker count.  While workers are attached,
         ``state`` is only current in the boundary region; call
         :meth:`finish_shards` to pull the full state back and detach.
-    shard_partition:
-        Optional pre-computed
-        :class:`~repro.inference.shard.TaskPartition` for the sharded
-        engine (the streaming estimator's incremental re-partition);
-        ``None`` partitions from scratch.  Any partition targets the same
-        posterior — it only reorders the scan.
     shard_pool:
-        An externally owned
-        :class:`~repro.inference.shard.WarmShardWorkerPool` that adopts
-        this sampler's shards instead of spawning dedicated workers; the
-        pool's processes outlive the sampler (cross-window streaming).
-        Mutually exclusive with ``shard_workers``.
+        An externally owned :class:`~repro.inference.shard.ShardWorkerPool`
+        that hosts this sampler's shards instead of spawning dedicated
+        workers; the pool's processes outlive the sampler (a stream's
+        pool serves every window).  Mutually exclusive with
+        ``shard_workers``.
     shard_transport:
         Worker transport for a dedicated shard pool (see
         :mod:`repro.inference.transport`); pipes by default.
-    threads:
-        Threaded batch evaluation inside every array kernel (see
-        :class:`~repro.inference.kernel.ArraySweepKernel`); draws are
-        bitwise independent of the thread count.
     """
 
     def __init__(
@@ -196,10 +186,8 @@ class GibbsSampler:
         kernel: str = "array",
         shards: int = 1,
         shard_workers: int | None = None,
-        shard_partition=None,
         shard_pool=None,
         shard_transport=None,
-        threads: int = 1,
     ) -> None:
         self.trace = trace
         self.state = state
@@ -230,13 +218,10 @@ class GibbsSampler:
         if shard_pool is not None and shard_workers is not None:
             raise InferenceError(
                 "pass either shard_workers (a dedicated pool) or shard_pool "
-                "(an external warm pool), not both"
+                "(an external pool), not both"
             )
-        if threads < 1:
-            raise InferenceError(f"threads must be at least 1, got {threads}")
         self.shards = int(shards)
         self.shard_workers = shard_workers
-        self.threads = int(threads)
         # The array kernel is built on top of the blanket caches.
         self.cache_blankets = (
             bool(cache_blankets) or bool(batch_draws) or kernel in BATCH_KERNELS
@@ -266,9 +251,7 @@ class GibbsSampler:
                 random_state=self.rng,
                 shuffle=self.shuffle,
                 kernel=self.kernel,
-                threads=self.threads,
                 workers=shard_workers,
-                partition=shard_partition,
                 pool=shard_pool,
                 transport=shard_transport,
             )
@@ -372,13 +355,9 @@ class GibbsSampler:
             self.state, self._departure_moves, self._rates
         )
         if self.kernel in BATCH_KERNELS:
-            if self._array_kernel is not None:
-                # Release the superseded kernel's thread pool now instead
-                # of leaking it until GC happens to run.
-                self._array_kernel.close()
             self._array_kernel = make_sweep_kernel(
                 self.kernel, self.state, self._arrival_cache,
-                self._departure_cache, self._rates, threads=self.threads,
+                self._departure_cache, self._rates,
             )
 
     def _fresh_caches(self) -> tuple[ArrivalBlanketCache, DepartureBlanketCache]:
@@ -450,14 +429,9 @@ class GibbsSampler:
             self._shard_engine.finish_workers(self.state)
 
     def close(self) -> None:
-        """Release shard worker processes and kernel thread pools; idempotent.
-
-        The sampler stays usable afterwards — a later threaded sweep
-        recreates its thread pool lazily."""
+        """Release shard worker processes; idempotent."""
         if self._shard_engine is not None:
             self._shard_engine.close()
-        if self._array_kernel is not None:
-            self._array_kernel.close()
 
     def _sweep_reference(self) -> SweepStats:
         """The uncached sweep: derive every blanket from the event set."""

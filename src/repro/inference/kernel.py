@@ -42,7 +42,6 @@ automatically.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,10 +52,6 @@ from repro.inference.conditional import ArrivalBlanketCache, DepartureBlanketCac
 from repro.inference.piecewise import _FLAT_EPS, log_integral_exp
 
 _INF = np.inf
-
-#: Below this many moves a batch is evaluated on the calling thread even in
-#: threaded mode — the chunking overhead would dominate the numpy work.
-_MIN_ROWS_PER_THREAD = 64
 
 # Per-registry handle cache: sweep() runs per EM iteration, so its
 # telemetry must cost a dict read, not registry lookups.  Handles are
@@ -210,13 +205,6 @@ class ArraySweepKernel:
         blanket extraction pass.
     rates:
         Current rate vector; refresh with :meth:`refresh_rates`.
-    threads:
-        With ``threads > 1`` each conflict-free batch's rows are split into
-        that many chunks whose piece construction and inverse-CDF draws run
-        on a shared :class:`~concurrent.futures.ThreadPoolExecutor` (the
-        numpy kernels release the GIL); the scatter writes are applied
-        after every chunk finished.  Chunking changes no arithmetic — rows
-        are independent — so draws are bitwise identical to ``threads=1``.
     """
 
     def __init__(
@@ -225,12 +213,7 @@ class ArraySweepKernel:
         arrival_cache: ArrivalBlanketCache,
         departure_cache: DepartureBlanketCache,
         rates: np.ndarray,
-        threads: int = 1,
     ) -> None:
-        if threads < 1:
-            raise InferenceError(f"threads must be at least 1, got {threads}")
-        self.threads = int(threads)
-        self._executor: ThreadPoolExecutor | None = None
         if (
             arrival_cache.structure_version != event_set.structure_version
             or departure_cache.structure_version != event_set.structure_version
@@ -485,19 +468,23 @@ class ArraySweepKernel:
         for bi in a_order:
             sel = self.a_batches[bi]
             draws = rng.random(2 * sel.size)
-            moved = self._apply_arrival_batch(
-                state, arrival, departure, sel, draws[: sel.size], draws[sel.size :]
+            events, x = self._eval_arrival_batch(
+                arrival, departure, sel, draws[: sel.size], draws[sel.size :]
             )
-            n_moves += moved
-            n_skipped += sel.size - moved
+            if events.size:
+                state.set_arrivals(events, x)
+            n_moves += events.size
+            n_skipped += sel.size - events.size
         for bi in d_order:
             sel = self.d_batches[bi]
             draws = rng.random(2 * sel.size)
-            moved = self._apply_departure_batch(
-                state, arrival, departure, sel, draws[: sel.size], draws[sel.size :]
+            events, x = self._eval_departure_batch(
+                arrival, departure, sel, draws[: sel.size], draws[sel.size :]
             )
-            n_moves += moved
-            n_skipped += sel.size - moved
+            if events.size:
+                state.set_final_departures(events, x)
+            n_moves += events.size
+            n_skipped += sel.size - events.size
         if reg.enabled:
             metrics = _kernel_metrics(reg)
             metrics["sweeps"].inc()
@@ -506,58 +493,10 @@ class ArraySweepKernel:
         return n_moves, n_skipped
 
     # ------------------------------------------------------------------
-    # Threaded chunk plumbing.
+    # Batch evaluation.
     # ------------------------------------------------------------------
 
-    def _chunk_map(self, evaluate, sel: np.ndarray, u: np.ndarray, v: np.ndarray):
-        """Evaluate one batch, chunked over the thread pool when enabled.
-
-        Returns the per-chunk ``(events, values)`` pairs in chunk order —
-        concatenating them reproduces the single-chunk result exactly,
-        because rows of a batch are arithmetically independent.
-        """
-        if self.threads <= 1 or sel.size < self.threads * _MIN_ROWS_PER_THREAD:
-            return [evaluate(sel, u, v)]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.threads)
-        bounds = np.linspace(0, sel.size, self.threads + 1).astype(np.int64)
-        futures = [
-            self._executor.submit(evaluate, sel[a:b], u[a:b], v[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        """Shut down the lazily created thread pool (idempotent).
-
-        Without this, every kernel rebuild after an event-set structure
-        change would leak ``threads`` live threads for the life of the
-        process.  The kernel itself stays usable after ``close()`` — a
-        later threaded batch simply recreates the pool — so callers may
-        release threads whenever a kernel is replaced or parked (sampler
-        teardown, blanket-cache rebuilds, shard-worker recall).
-        """
-        executor = getattr(self, "_executor", None)
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __del__(self) -> None:
-        # Safety net for kernels dropped without an explicit close();
-        # never let teardown-order surprises surface at GC time.
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __getstate__(self):
-        # Executors cannot cross process boundaries; rebuild lazily.
-        state = self.__dict__.copy()
-        state["_executor"] = None
-        return state
-
-    def _eval_arrival_chunk(
+    def _eval_arrival_batch(
         self,
         arrival: np.ndarray,
         departure: np.ndarray,
@@ -571,7 +510,7 @@ class ArraySweepKernel:
         x = _invert_pieces(pieces["knots"], pieces["slopes"], idx, v)
         return pieces["events"][valid], x[valid]
 
-    def _eval_departure_chunk(
+    def _eval_departure_batch(
         self,
         arrival: np.ndarray,
         departure: np.ndarray,
@@ -594,43 +533,3 @@ class ArraySweepKernel:
                     x,
                 )
         return pieces["events"][valid], x[valid]
-
-    def _apply_arrival_batch(
-        self,
-        state: EventSet,
-        arrival: np.ndarray,
-        departure: np.ndarray,
-        sel: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-    ) -> int:
-        def evaluate(s, uu, vv):
-            return self._eval_arrival_chunk(arrival, departure, s, uu, vv)
-
-        chunks = self._chunk_map(evaluate, sel, u, v)
-        moved = 0
-        for events, x in chunks:
-            if events.size:
-                state.set_arrivals(events, x)
-                moved += events.size
-        return moved
-
-    def _apply_departure_batch(
-        self,
-        state: EventSet,
-        arrival: np.ndarray,
-        departure: np.ndarray,
-        sel: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-    ) -> int:
-        def evaluate(s, uu, vv):
-            return self._eval_departure_chunk(arrival, departure, s, uu, vv)
-
-        chunks = self._chunk_map(evaluate, sel, u, v)
-        moved = 0
-        for events, x in chunks:
-            if events.size:
-                state.set_final_departures(events, x)
-                moved += events.size
-        return moved

@@ -73,7 +73,6 @@ def run_mcem(
     kernel: str = "array",
     persistent_workers: int | None = None,
     shards: int = 1,
-    threads: int = 1,
 ) -> MCEMResult:
     """Estimate rates by Monte-Carlo EM.
 
@@ -114,9 +113,6 @@ def run_mcem(
         Sharded sweeps for every E-step chain (see
         :func:`~repro.inference.stem.run_stem`); with
         ``persistent_workers`` each worker hosts whole sharded chains.
-    threads:
-        Threaded batch evaluation inside every chain's array/native sweep
-        kernel (see :class:`~repro.inference.gibbs.GibbsSampler`).
     """
     if n_iterations < 1 or e_sweeps < 1 or e_burn_in < 0:
         raise InferenceError("need n_iterations >= 1, e_sweeps >= 1, e_burn_in >= 0")
@@ -133,7 +129,7 @@ def run_mcem(
     )
     recipes = chain_recipes(
         trace, rates, init_method, n_chains, jitter, random_state,
-        shuffle=True, kernel=kernel, shards=shards, threads=threads,
+        shuffle=True, kernel=kernel, shards=shards,
     )
     counts = trace.skeleton.events_per_queue().astype(float)
     history = np.empty((n_iterations + 1, trace.skeleton.n_queues))

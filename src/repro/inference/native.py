@@ -54,13 +54,9 @@ _INF = math.inf
 
 
 def _jit(func):
-    """``numba.njit`` when numba is importable, the plain function otherwise.
-
-    ``nogil=True`` lets the kernel's thread-chunked batches run compiled
-    code concurrently, matching the numpy path's GIL-releasing behavior.
-    """
+    """``numba.njit`` when numba is importable, the plain function otherwise."""
     if NUMBA_AVAILABLE:
-        return _numba.njit(cache=False, nogil=True)(func)
+        return _numba.njit(cache=False)(func)
     return func
 
 
@@ -357,7 +353,7 @@ def _fused_departure(
 ) -> None:
     """One pass over a departure batch (two finite pieces or the
     analytic exponential tail), mirroring ``departure_pieces`` +
-    ``_eval_departure_chunk``."""
+    ``_eval_departure_batch``."""
     for i in range(sel.shape[0]):
         r = sel[i]
         lower = arrival[d_ev[r]]
@@ -415,8 +411,8 @@ def _fused_departure(
 class NativeSweepKernel(ArraySweepKernel):
     """``ArraySweepKernel`` with batch evaluation lowered to compiled loops.
 
-    Construction, conflict-free batching, the random stream, threading and
-    the ``arrival_pieces``/``departure_pieces`` introspection API are all
+    Construction, conflict-free batching, the random stream and the
+    ``arrival_pieces``/``departure_pieces`` introspection API are all
     inherited unchanged — only the per-batch evaluate step is swapped for
     the fused compiled loops, so draws are interchangeable with the array
     backend move for move.
@@ -430,9 +426,9 @@ class NativeSweepKernel(ArraySweepKernel):
         super().__init__(*args, **kwargs)
         self.native_active = NUMBA_AVAILABLE
 
-    def _eval_arrival_chunk(self, arrival, departure, sel, u, v):
+    def _eval_arrival_batch(self, arrival, departure, sel, u, v):
         if not self.native_active:
-            return super()._eval_arrival_chunk(arrival, departure, sel, u, v)
+            return super()._eval_arrival_batch(arrival, departure, sel, u, v)
         x = np.empty(sel.size)
         valid = np.empty(sel.size, dtype=np.bool_)
         _fused_arrival(
@@ -443,9 +439,9 @@ class NativeSweepKernel(ArraySweepKernel):
         )
         return self.a_ev[sel][valid], x[valid]
 
-    def _eval_departure_chunk(self, arrival, departure, sel, u, v):
+    def _eval_departure_batch(self, arrival, departure, sel, u, v):
         if not self.native_active:
-            return super()._eval_departure_chunk(arrival, departure, sel, u, v)
+            return super()._eval_departure_batch(arrival, departure, sel, u, v)
         x = np.empty(sel.size)
         valid = np.empty(sel.size, dtype=np.bool_)
         _fused_departure(
@@ -468,8 +464,7 @@ def make_sweep_kernel(
     arrival_cache,
     departure_cache,
     rates,
-    threads: int = 1,
 ) -> ArraySweepKernel:
     """Build the batch sweep kernel behind ``kernel="array"|"native"``."""
     cls = NativeSweepKernel if kernel == "native" else ArraySweepKernel
-    return cls(event_set, arrival_cache, departure_cache, rates, threads=threads)
+    return cls(event_set, arrival_cache, departure_cache, rates)

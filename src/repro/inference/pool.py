@@ -83,13 +83,6 @@ class ChainRecipe:
     shuffle: bool
     kernel: str
     shards: int = 1
-    #: Threaded batch evaluation inside every array/native kernel the
-    #: chain builds (bitwise invariant to the thread count).
-    threads: int = 1
-    #: Optional pre-computed task partition for the sharded engine (the
-    #: streaming estimator's incremental re-partition path); ``None``
-    #: lets the engine run :func:`~repro.inference.shard.partition_tasks`.
-    partition: object | None = None
 
 
 def chain_recipes(
@@ -102,8 +95,6 @@ def chain_recipes(
     shuffle: bool,
     kernel: str = "array",
     shards: int = 1,
-    partition=None,
-    threads: int = 1,
 ) -> list[ChainRecipe]:
     """One recipe per E-step chain, over-dispersed past chain 0.
 
@@ -126,8 +117,6 @@ def chain_recipes(
             shuffle=shuffle,
             kernel=kernel,
             shards=shards,
-            partition=partition,
-            threads=threads,
         )
     ]
     if n_chains == 1:
@@ -147,8 +136,6 @@ def chain_recipes(
                 shuffle=shuffle,
                 kernel=kernel,
                 shards=shards,
-                partition=partition,
-                threads=threads,
             )
         )
     return recipes
@@ -166,10 +153,10 @@ def build_chain_sampler(
     chain (``recipe.shards > 1``) — the distributed-sweep path of
     :func:`~repro.inference.stem.run_stem`; serial and pooled chains are
     built from the same recipe either way, and *shard_transport* selects
-    that pool's worker transport.  *shard_pool* instead adopts an
-    externally owned warm pool
-    (:class:`~repro.inference.shard.WarmShardWorkerPool`) whose processes
-    outlive this chain — the streaming estimator's cross-window path.
+    that pool's worker transport.  *shard_pool* instead installs the
+    shards on an externally owned
+    :class:`~repro.inference.shard.ShardWorkerPool` whose processes
+    outlive this chain — a stream's pool, which serves every window.
     """
     if recipe.init_seed is None:
         init_rates = recipe.rates
@@ -185,10 +172,8 @@ def build_chain_sampler(
         kernel=recipe.kernel,
         shards=recipe.shards,
         shard_workers=shard_workers if recipe.shards > 1 else None,
-        shard_partition=recipe.partition,
         shard_pool=shard_pool if recipe.shards > 1 else None,
         shard_transport=shard_transport if recipe.shards > 1 else None,
-        threads=recipe.threads,
     )
 
 
@@ -268,15 +253,13 @@ def _pool_worker_main(conn, recipes: list[ChainRecipe]) -> None:
 class PersistentWorkerPool:
     """Worker-lifecycle core shared by the chain and shard worker pools.
 
-    Payload items (chain recipes, shard residents) are assigned to worker
-    processes round-robin at construction and never migrate, so the
-    hosting worker is always an implementation detail.  Workers are
-    started through a :class:`~repro.inference.transport.WorkerTransport`
-    (OS pipes by default, sockets for cross-machine pools) — the message
-    protocol is transport-agnostic.  With ``items=None`` the pool starts
-    *empty* workers that wait for payloads shipped later over the
-    protocol (the warm cross-window pools of
-    :mod:`repro.online.streaming`).  Use as a context manager; on error
+    Each worker process is started over its own payload (chain recipes,
+    or nothing for a shard pool, whose shards arrive later in an
+    ``install`` message) and keeps that state resident, so the hosting
+    worker is always an implementation detail.  Workers are started
+    through a :class:`~repro.inference.transport.WorkerTransport` (OS
+    pipes by default, sockets for cross-machine pools) — the message
+    protocol is transport-agnostic.  Use as a context manager; on error
     or exit every worker is joined (and terminated if it does not exit
     promptly).
     """
@@ -286,29 +269,11 @@ class PersistentWorkerPool:
 
     def __init__(
         self,
-        items: list | None,
-        workers: int | None,
+        payloads: list[list],
         worker_main,
         transport: WorkerTransport | None = None,
     ) -> None:
-        if items is None:
-            if workers is None or int(workers) < 1:
-                raise InferenceError(
-                    f"an empty (warm) pool needs an explicit worker count, got {workers}"
-                )
-            n_workers = int(workers)
-            payloads: list[list] = [[] for _ in range(n_workers)]
-            self.n_items = 0
-        else:
-            if not items:
-                raise InferenceError("need at least one worker payload")
-            n_workers = len(items) if workers is None else int(workers)
-            if n_workers < 1:
-                raise InferenceError(f"need at least one worker, got {workers}")
-            n_workers = min(n_workers, len(items))
-            payloads = [items[w::n_workers] for w in range(n_workers)]
-            self.n_items = len(items)
-        self.n_workers = n_workers
+        self.n_workers = len(payloads)
         self.transport = transport if transport is not None else PipeTransport()
         self._handles = []
         self._closed = False
@@ -446,8 +411,18 @@ class PersistentChainPool(PersistentWorkerPool):
         workers: int | None = None,
         transport: WorkerTransport | None = None,
     ) -> None:
-        super().__init__(recipes, workers, _pool_worker_main, transport)
-        self.n_chains = self.n_items
+        if not recipes:
+            raise InferenceError("need at least one worker payload")
+        n_workers = len(recipes) if workers is None else int(workers)
+        if n_workers < 1:
+            raise InferenceError(f"need at least one worker, got {workers}")
+        n_workers = min(n_workers, len(recipes))
+        super().__init__(
+            [recipes[w::n_workers] for w in range(n_workers)],
+            _pool_worker_main,
+            transport,
+        )
+        self.n_chains = len(recipes)
 
     # ------------------------------------------------------------------
     # E-step operations.

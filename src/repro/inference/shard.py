@@ -19,9 +19,8 @@ Decomposition
 
   - **interior** — its Markov blanket lies entirely inside one shard.
     Interior moves of *different* shards never read or write a common
-    time, so whole shards can sweep concurrently (across worker
-    processes, or batch-threaded within one) while remaining exactly
-    equivalent to some sequential scan.
+    time, so whole shards can sweep concurrently across worker processes
+    while remaining exactly equivalent to some sequential scan.
   - **boundary** — its blanket crosses a shard cut.  Boundary moves are
     frozen while shards sweep and are resampled by a scalar master pass
     between super-steps, reading times that the shards exchange.
@@ -40,9 +39,11 @@ Execution modes
 (built by the generalized :func:`~repro.events.subset.subset_tasks`, plus
 frozen *ghost* tasks that carry cross-shard ``rho`` neighbors) resident
 across super-steps, and only boundary-region times plus per-queue
-sufficient statistics cross the process boundary.  The two modes are
-bitwise identical at any worker count because every shard's draws are a
-pure function of its spawned random stream.
+sufficient statistics cross the process boundary.  The pool belongs
+either to one engine (one StEM run) or to a stream that installs every
+window's shards on the same processes.  The two modes are bitwise
+identical at any worker count because every shard's draws are a pure
+function of its spawned random stream.
 """
 
 from __future__ import annotations
@@ -167,14 +168,8 @@ def partition_tasks(
             assignment[entry_tasks[i]] = s
     weights = task_interaction_graph(events)
     if n_shards > 1 and refine_passes > 0 and weights:
-        neighbors = _neighbor_lists(weights)
-        sizes = np.zeros(n_shards, dtype=np.int64)
-        for s in assignment.values():
-            sizes[s] += 1
-        lo, hi = _balance_bounds(n, n_shards, balance)
         _refine_assignment(
-            entry_tasks, assignment, neighbors, sizes, n_shards, lo, hi,
-            refine_passes,
+            entry_tasks, assignment, weights, n_shards, balance, refine_passes
         )
     cut = sum(
         w for (a, b), w in weights.items() if assignment[a] != assignment[b]
@@ -191,43 +186,33 @@ def partition_tasks(
     )
 
 
-def _neighbor_lists(
-    weights: dict[tuple[int, int], int]
-) -> dict[int, list[tuple[int, int]]]:
-    """Adjacency lists of the task-interaction graph."""
-    neighbors: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), w in weights.items():
-        neighbors.setdefault(a, []).append((b, w))
-        neighbors.setdefault(b, []).append((a, w))
-    return neighbors
-
-
-def _balance_bounds(n: int, n_shards: int, balance: float) -> tuple[int, int]:
-    """Allowed shard sizes ``±balance`` around the even split."""
-    lo = max(1, int(np.floor((1.0 - balance) * n / n_shards)))
-    hi = max(lo, int(np.ceil((1.0 + balance) * n / n_shards)))
-    return lo, hi
-
-
 def _refine_assignment(
     entry_tasks: list[int],
     assignment: dict[int, int],
-    neighbors: dict[int, list[tuple[int, int]]],
-    sizes: np.ndarray,
+    weights: dict[tuple[int, int], int],
     n_shards: int,
-    lo: int,
-    hi: int,
+    balance: float,
     refine_passes: int,
 ) -> None:
     """Greedy min-cut passes over *assignment*, in place.
 
-    A task moves to the shard holding most of its interaction weight
-    whenever that strictly shrinks the cut and keeps every shard within
-    the ``[lo, hi]`` size band.  Deterministic: ties break toward the
-    lower shard index.  Shared by the cold partitioner
-    (:func:`partition_tasks`) and the incremental one
-    (:func:`refresh_partition`).
+    The refinement step of :func:`partition_tasks`: a task moves to the
+    shard holding most of its interaction weight (*weights*, the
+    task-interaction graph) whenever that strictly shrinks the cut and
+    keeps every shard within ``±balance`` of the even size.
+    Deterministic: tasks are visited in entry order and ties break
+    toward the lower shard index.
     """
+    neighbors: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), w in weights.items():
+        neighbors.setdefault(a, []).append((b, w))
+        neighbors.setdefault(b, []).append((a, w))
+    sizes = np.zeros(n_shards, dtype=np.int64)
+    for s in assignment.values():
+        sizes[s] += 1
+    n = len(entry_tasks)
+    lo = max(1, int(np.floor((1.0 - balance) * n / n_shards)))
+    hi = max(lo, int(np.ceil((1.0 + balance) * n / n_shards)))
     for _ in range(refine_passes):
         moved = False
         for task in entry_tasks:
@@ -251,117 +236,6 @@ def _refine_assignment(
                 moved = True
         if not moved:
             break
-
-
-def refresh_partition(
-    events: EventSet,
-    assignment: dict[int, int],
-    n_shards: int,
-    balance: float = 0.3,
-    refine_passes: int = 1,
-) -> TaskPartition:
-    """Incrementally update a previous task partition to cover *events*.
-
-    The streaming estimator's re-partition step: instead of rebuilding
-    entry-contiguous blocks from scratch (which shifts *every* shard as
-    the window slides), surviving tasks keep their previous shard, aged-out
-    tasks are dropped, and newly arrived tasks join the shard holding most
-    of their interaction weight (falling back to the entry-order
-    predecessor's shard, the contiguity heuristic).  A bounded greedy
-    refinement then migrates only tasks whose interaction pull moved —
-    the "diff the interaction graph against the previous plan" step — so
-    shards away from the window edges keep identical task sets and their
-    worker residents can be reused wholesale.
-
-    Shard *indices* are stable by construction (an emptied shard is
-    refilled from the largest one rather than renumbered), because warm
-    worker residency is keyed by shard index.  The result targets the
-    same posterior as any other partition — sharding only reorders the
-    Gibbs scan — so this is a performance choice, never a correctness
-    one.
-
-    Parameters
-    ----------
-    events:
-        The new window's event set (its frozen queue orders define the
-        interaction graph).
-    assignment:
-        The previous window's ``task id -> shard`` map (not mutated).
-        Tasks mapped to shards ``>= n_shards`` are treated as new.
-    n_shards:
-        Shard count; clamped to the task count.
-    balance / refine_passes:
-        As in :func:`partition_tasks`.
-    """
-    if n_shards < 1:
-        raise InferenceError(f"need at least one shard, got {n_shards}")
-    if not 0.0 <= balance < 1.0:
-        raise InferenceError(f"balance must lie in [0, 1), got {balance}")
-    entry_tasks = [int(events.task[e]) for e in events.queue_order(0)]
-    n = len(entry_tasks)
-    n_shards = max(1, min(int(n_shards), n))
-    current = set(entry_tasks)
-    weights = task_interaction_graph(events)
-    neighbors = _neighbor_lists(weights)
-    new_assignment: dict[int, int] = {
-        t: s for t, s in assignment.items() if t in current and 0 <= s < n_shards
-    }
-    sizes = np.zeros(n_shards, dtype=np.int64)
-    for s in new_assignment.values():
-        sizes[s] += 1
-    lo, hi = _balance_bounds(n, n_shards, balance)
-    last_shard = 0
-    for task in entry_tasks:
-        if task in new_assignment:
-            last_shard = new_assignment[task]
-            continue
-        pull = np.zeros(n_shards)
-        for other, w in neighbors.get(task, ()):
-            s = new_assignment.get(other)
-            if s is not None:
-                pull[s] += w
-        best: int | None = None
-        if pull.any():
-            # Most-attached shard with room; ties toward the lower index.
-            for s in np.argsort(-pull, kind="stable"):
-                if sizes[s] < hi:
-                    best = int(s)
-                    break
-        elif sizes[last_shard] < hi:
-            best = last_shard
-        if best is None:
-            best = int(np.argmin(sizes))
-        new_assignment[task] = best
-        sizes[best] += 1
-        last_shard = best
-    # A shard whose tasks all aged out must stay live (worker residency is
-    # keyed by shard index): refill it from the largest shard.
-    for s in range(n_shards):
-        while sizes[s] == 0:
-            donor = int(np.argmax(sizes))
-            for task in reversed(entry_tasks):
-                if new_assignment[task] == donor:
-                    new_assignment[task] = s
-                    sizes[donor] -= 1
-                    sizes[s] += 1
-                    break
-    if n_shards > 1 and refine_passes > 0 and weights:
-        _refine_assignment(
-            entry_tasks, new_assignment, neighbors, sizes, n_shards, lo, hi,
-            refine_passes,
-        )
-    cut = sum(
-        w for (a, b), w in weights.items()
-        if new_assignment[a] != new_assignment[b]
-    )
-    blocks: list[list[int]] = [[] for _ in range(n_shards)]
-    for task in sorted(new_assignment):
-        blocks[new_assignment[task]].append(task)
-    return TaskPartition(
-        shards=tuple(tuple(block) for block in blocks),
-        assignment=dict(new_assignment),
-        cut_size=int(cut),
-    )
 
 
 def boundary_event_sets(
@@ -532,11 +406,9 @@ class ShardResident:
     rates: np.ndarray
     rng: np.random.Generator
     shuffle: bool
-    threads: int
     #: Batch sweep engine for the shard's interior moves: ``"array"`` or
-    #: its compiled lowering ``"native"`` (default keeps old pickles and
-    #: call sites working).
-    kernel: str = "array"
+    #: its compiled lowering ``"native"``.
+    kernel: str
 
 
 def _validate_rates(rates: np.ndarray, n_queues: int) -> np.ndarray:
@@ -568,87 +440,41 @@ def _build_resident(r: ShardResident):
     """Build one shard's worker-side unit: caches plus the batch kernel."""
     acache = ArrivalBlanketCache(r.sub_state, r.interior_arrivals, r.rates)
     dcache = DepartureBlanketCache(r.sub_state, r.interior_departures, r.rates)
-    kernel = make_sweep_kernel(
-        r.kernel, r.sub_state, acache, dcache, r.rates, threads=r.threads
-    )
+    kernel = make_sweep_kernel(r.kernel, r.sub_state, acache, dcache, r.rates)
     return (r, kernel, acache, dcache)
 
 
-def same_shard_structure(a: ShardResident, b: ShardResident) -> bool:
-    """Whether two residents for the same shard share every *static* input.
+def _shard_worker_main(conn, _payload) -> None:
+    """Entry point of one shard worker: host installed shards, serve sweeps.
 
-    The blanket caches and the array kernel's conflict-free batches are
-    pure functions of the sub-trace structure, the move lists, and the
-    threading/shuffle flags — times are read live from the state arrays
-    and rates are re-synced on every sweep command.  When this returns
-    True a warm worker can keep its built kernel and adopt only the new
-    window's time arrays and random stream, producing bitwise the draws a
-    cold rebuild would.
-    """
-    if a.shuffle != b.shuffle or a.threads != b.threads or a.kernel != b.kernel:
-        return False
-    sa, sb = a.sub_state, b.sub_state
-    if sa.n_events != sb.n_events or sa.n_queues != sb.n_queues:
-        return False
-    if not (
-        np.array_equal(sa.task, sb.task)
-        and np.array_equal(sa.seq, sb.seq)
-        and np.array_equal(sa.queue, sb.queue)
-    ):
-        return False
-    for q in range(sa.n_queues):
-        if not np.array_equal(sa.queue_order(q), sb.queue_order(q)):
-            return False
-    for x, y in (
-        (a.interior_arrivals, b.interior_arrivals),
-        (a.interior_departures, b.interior_departures),
-        (a.own_rows, b.own_rows),
-        (a.inbound, b.inbound),
-        (a.frontier, b.frontier),
-    ):
-        if not np.array_equal(x, y):
-            return False
-    return True
+    The worker starts empty.  Messages (tuples, first element is the
+    command):
 
-
-def _shard_worker_main(conn, residents: list[ShardResident]) -> None:
-    """Entry point of one shard worker: build kernels, then serve sweeps.
-
-    Messages (tuples, first element is the command):
-
+    * ``("install", residents)`` — build caches and kernels for a run's
+      shards (``{shard: ShardResident}``), replacing whatever the worker
+      hosted before.
     * ``("sweep", rates, n_sweeps, inbound)`` — per resident shard: apply
       the master's boundary-region time updates, refresh rates, run
       *n_sweeps* interior sweeps on the resident array kernel, and reply
       with the frontier times, the shard's per-queue service totals, and
       the move counts.
-    * ``("adopt", updates)`` — replace / refresh resident shards for a new
-      estimation window while the process stays warm.  Per shard the
-      payload is ``("resident", r)`` (full rebuild: new structure),
-      ``("times", arrivals, departures, rng)`` (same structure: overwrite
-      the time arrays in place, adopt the new stream, keep the built
-      kernel and caches), or ``("drop",)``.
     * ``("recall",)`` — ship every shard's own times and its evolved
-      random stream back but *stay alive* with the residents in place
-      (cross-window warm pools); the next ``adopt`` supersedes them.
-    * ``("finish",)`` — ship every shard's own times and its evolved
-      random stream back, then exit.
+      random stream back; the worker stays up for the next ``install``.
     * ``("close",)`` — exit.
 
     Any exception is reported as ``("error", description)`` and ends the
     worker so the master can shut the pool down cleanly.
     """
+    built: dict = {}
     try:
-        built = {r.shard: _build_resident(r) for r in residents}
-        conn.send(("ready", sorted(built)))
-    except BaseException as exc:  # noqa: BLE001 — must cross the pipe
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    try:
+        conn.send(("ready", []))
         while True:
             msg = conn.recv()
             cmd = msg[0]
-            if cmd == "sweep":
+            if cmd == "install":
+                built = {shard: _build_resident(r) for shard, r in msg[1].items()}
+                conn.send(("ok", {}))
+            elif cmd == "sweep":
                 _, rates, n_sweeps, inbound = msg
                 out = {}
                 for shard in sorted(built):
@@ -679,33 +505,7 @@ def _shard_worker_main(conn, residents: list[ShardResident]) -> None:
                         skipped,
                     )
                 conn.send(("ok", out))
-            elif cmd == "adopt":
-                _, updates = msg
-                out = {}
-                for shard, payload in updates.items():
-                    kind = payload[0]
-                    if kind == "resident":
-                        superseded = built.get(shard)
-                        built[shard] = _build_resident(payload[1])
-                        if superseded is not None:
-                            # The replaced kernel's thread pool must not
-                            # outlive it — rebuilds used to leak threads.
-                            superseded[1].close()
-                    elif kind == "times":
-                        r = built[shard][0]
-                        _, arr, dep, rng = payload
-                        # In place: the built kernel and caches alias these
-                        # arrays.
-                        r.sub_state.arrival[:] = arr
-                        r.sub_state.departure[:] = dep
-                        r.rng = rng
-                    else:  # "drop"
-                        dropped = built.pop(shard, None)
-                        if dropped is not None:
-                            dropped[1].close()
-                    out[shard] = kind
-                conn.send(("ok", out))
-            elif cmd in ("finish", "recall"):
+            elif cmd == "recall":
                 out = {
                     shard: (
                         r.sub_state.arrival[r.own_rows].copy(),
@@ -715,13 +515,6 @@ def _shard_worker_main(conn, residents: list[ShardResident]) -> None:
                     for shard, (r, _, _, _) in built.items()
                 }
                 conn.send(("ok", out))
-                if cmd == "finish":
-                    return
-                # Recalled residents may idle until the next window's
-                # adopt; park their kernels' thread pools (the kernels
-                # stay built — a later sweep respawns threads lazily).
-                for unit in built.values():
-                    unit[1].close()
             else:  # "close"
                 return
     except BaseException as exc:  # noqa: BLE001 — must cross the pipe
@@ -730,30 +523,47 @@ def _shard_worker_main(conn, residents: list[ShardResident]) -> None:
         except OSError:
             pass
     finally:
-        for unit in built.values():
-            unit[1].close()
         conn.close()
 
 
 class ShardWorkerPool(PersistentWorkerPool):
-    """Persistent worker processes holding resident shard sub-traces.
+    """Persistent worker processes hosting resident shard sub-traces.
 
-    Shards are assigned to workers round-robin and never migrate within a
-    window; a shard's draws are a pure function of its resident random
-    stream, so results are bitwise identical at any worker count and over
-    any transport (including the in-process engine built from the same
-    plan and streams).
+    The pool starts empty; :meth:`install` ships a run's residents in one
+    message per worker, shard ``s`` going to worker ``s % n_workers``.  A
+    pool owned by one :class:`ShardedSweepEngine` serves a single StEM run
+    and closes with it; a pool owned by a stream serves every window,
+    each of which installs its own freshly partitioned shards.  A shard's
+    draws are a pure function of its resident random stream, so results
+    are bitwise identical at any worker count and over any transport
+    (including the in-process engine built from the same plan and
+    streams).
+
+    Parameters
+    ----------
+    workers:
+        Worker process count, fixed for the pool's lifetime.
+    transport:
+        Worker transport; defaults to local processes over OS pipes.
     """
 
     _failure_label = "shard sweep worker"
 
-    def __init__(
-        self,
-        residents: list[ShardResident] | None,
-        workers: int | None = None,
-        transport: WorkerTransport | None = None,
-    ):
-        super().__init__(residents, workers, _shard_worker_main, transport)
+    def __init__(self, workers: int, transport: WorkerTransport | None = None):
+        if int(workers) < 1:
+            raise InferenceError(f"need at least one worker, got {workers}")
+        super().__init__(
+            [[] for _ in range(int(workers))], _shard_worker_main, transport
+        )
+        self._n_hosted = 0
+
+    def install(self, residents: list[ShardResident]) -> None:
+        """Replace every worker's hosted shards with *residents*."""
+        updates: list[dict] = [{} for _ in range(self.n_workers)]
+        for r in residents:
+            updates[r.shard % self.n_workers][r.shard] = r
+        self._exchange([("install", u) for u in updates])
+        self._n_hosted = len(residents)
 
     def sweep(self, rates: np.ndarray, n_sweeps: int, inbound: dict) -> list:
         """One super-step on every shard; returns per-shard replies.
@@ -768,79 +578,8 @@ class ShardWorkerPool(PersistentWorkerPool):
             ("sweep", np.asarray(rates, dtype=float), int(n_sweeps), inbound)
         )
 
-    def finish(self) -> list:
-        """Retrieve every shard's own times and random stream, then close."""
-        replies = self._broadcast(("finish",))
-        self.close()
-        return replies
-
-
-class WarmShardWorkerPool(ShardWorkerPool):
-    """A shard worker pool that stays warm *across* estimation windows.
-
-    The streaming estimator's cross-window substrate: worker processes
-    (and their transport connections) are spawned once and then serve a
-    sequence of windows.  Per window the engine hands the pool its freshly
-    built residents via :meth:`adopt`; the pool diffs each shard against
-    what its worker currently hosts and ships the minimal update — shards
-    whose structure is unchanged (the common case away from the window
-    edges under incremental re-partitioning) receive only new time arrays
-    and a new random stream, keeping their built blanket caches and
-    conflict-free kernel batches.  Because the adopted state is identical
-    either way, warm windows are bitwise indistinguishable from cold
-    rebuilds — only faster.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count (fixed for the pool's lifetime; shards are
-        hosted by worker ``shard % workers``).
-    transport:
-        Worker transport; defaults to local processes over OS pipes.
-    """
-
-    def __init__(self, workers: int, transport: WorkerTransport | None = None):
-        super().__init__(None, workers, transport)
-        self._hosted: dict[int, ShardResident] = {}
-        #: Per-shard update kind shipped by the last :meth:`adopt`
-        #: (``"resident"`` = full rebuild, ``"times"`` = warm reuse).
-        self.last_adoption: dict[int, str] = {}
-
-    def adopt(self, residents: list[ShardResident]) -> dict[int, str]:
-        """Install a new window's residents, shipping only what changed."""
-        updates: list[dict[int, tuple]] = [{} for _ in range(self.n_workers)]
-        kinds: dict[int, str] = {}
-        hosted: dict[int, ShardResident] = {}
-        for r in residents:
-            worker = r.shard % self.n_workers
-            prev = self._hosted.get(r.shard)
-            if prev is not None and same_shard_structure(prev, r):
-                updates[worker][r.shard] = (
-                    "times",
-                    r.sub_state.arrival,
-                    r.sub_state.departure,
-                    r.rng,
-                )
-                kinds[r.shard] = "times"
-            else:
-                updates[worker][r.shard] = ("resident", r)
-                kinds[r.shard] = "resident"
-            hosted[r.shard] = r
-        for shard in self._hosted:
-            if shard not in hosted:
-                updates[shard % self.n_workers][shard] = ("drop",)
-        self._hosted = hosted
-        self._exchange([("adopt", u) for u in updates])
-        self.last_adoption = kinds
-        return kinds
-
     def recall(self) -> list:
-        """Pull every shard's own times and stream home; workers stay warm.
-
-        Residents remain hosted so the next window's :meth:`adopt` can
-        still diff against them (a tumbling window over a stable region
-        reuses everything).
-        """
+        """Every shard's own times and random stream, in shard order."""
         return self._broadcast(("recall",))
 
     def probe(self) -> dict:
@@ -857,13 +596,8 @@ class WarmShardWorkerPool(ShardWorkerPool):
             "n_workers": self.n_workers,
             "n_alive": self.n_alive(),
             "pids": self.worker_pids(),
-            "n_hosted_shards": len(self._hosted),
+            "n_hosted_shards": 0 if self.closed else self._n_hosted,
         }
-
-    def close(self) -> None:
-        """Shut the pool down and forget hosted residents; idempotent."""
-        super().close()
-        self._hosted = {}
 
 
 # ----------------------------------------------------------------------
@@ -899,19 +633,17 @@ class ShardedSweepEngine:
         (default) or its JIT-compiled lowering ``"native"`` (see
         :mod:`repro.inference.native`); shipped to workers with each
         resident.
-    threads:
-        Thread count for every shard kernel's batch evaluation; draws
-        are bitwise invariant to it.
     workers:
-        ``None`` runs shards in-process; a positive count attaches a
-        :class:`ShardWorkerPool` over that many processes.
+        ``None`` runs shards in-process; a positive count spawns a
+        :class:`ShardWorkerPool` over that many processes (at most one
+        per shard), which the engine owns and closes.
     pool:
-        An externally owned :class:`WarmShardWorkerPool` to adopt the
-        shards instead of spawning a dedicated pool — the streaming
-        estimator's cross-window path.  The engine never closes an
-        external pool; :meth:`finish_workers` recalls state and leaves
-        the workers warm for the next window.  Ignored when the effective
-        shard count is 1 (tiny windows fall back to the plain kernel).
+        An externally owned :class:`ShardWorkerPool` to install the
+        shards on instead of spawning one — a stream's pool, which serves
+        every window.  The engine never closes an external pool;
+        :meth:`finish_workers` recalls state and leaves the workers up
+        for the next window's install.  Ignored when the effective shard
+        count is 1 (tiny windows fall back to the plain kernel).
     transport:
         Worker transport for a dedicated pool (see
         :mod:`repro.inference.transport`); pipes by default.
@@ -926,22 +658,17 @@ class ShardedSweepEngine:
         random_state: RandomState = None,
         shuffle: bool = True,
         kernel: str = "array",
-        threads: int = 1,
         workers: int | None = None,
-        partition: TaskPartition | None = None,
-        pool: "WarmShardWorkerPool | None" = None,
+        pool: ShardWorkerPool | None = None,
         transport: WorkerTransport | None = None,
     ) -> None:
         self.trace = trace
         self.shuffle = bool(shuffle)
         self.kernel = str(kernel)
-        self.threads = int(threads)
         self._rates = np.asarray(rates, dtype=float).copy()
-        if partition is None:
-            partition = partition_tasks(state, n_shards)
-        self.partition = partition
-        self.n_shards = partition.n_shards
-        self.plan = build_shard_plan(trace, state, partition)
+        self.partition = partition_tasks(state, n_shards)
+        self.n_shards = self.partition.n_shards
+        self.plan = build_shard_plan(trace, state, self.partition)
         self.structure_version = state.structure_version
         if self.n_shards == 1:
             # Bitwise passthrough: the single shard consumes the caller's
@@ -959,19 +686,17 @@ class ShardedSweepEngine:
             for s in range(self.n_shards)
         ]
         self._pool: ShardWorkerPool | None = None
-        self._owns_pool = True
+        self._owns_pool = pool is None
         self._last_shard_totals: np.ndarray | None = None
-        #: Per-shard adoption kinds when attached to an external warm pool
-        #: (``"times"`` entries mark shards whose kernels were reused).
-        self.adoption: dict[int, str] = {}
-        if pool is not None and self.n_shards > 1:
+        if self.n_shards > 1 and (pool is not None or workers is not None):
             self._build_master(state, build_kernels=False)
+            residents = self._build_residents(state)
+            if pool is None:
+                pool = ShardWorkerPool(
+                    min(int(workers), self.n_shards), transport=transport
+                )
+            pool.install(residents)  # a failed install closes the pool
             self._pool = pool
-            self._owns_pool = False
-            self.adoption = pool.adopt(self._build_residents(state))
-        elif workers is not None and self.n_shards > 1:
-            self._build_master(state, build_kernels=False)
-            self._attach_workers(state, int(workers), transport)
         else:
             self._build_master(state, build_kernels=True)
 
@@ -990,10 +715,6 @@ class ShardedSweepEngine:
         )
         self._ba_slots = np.arange(plan.boundary_arrivals.size)
         self._bd_slots = np.arange(plan.boundary_departures.size)
-        old = getattr(self, "_kernels", None)
-        if old is not None:
-            for kernel in old:
-                kernel.close()
         self._kernels: list[ArraySweepKernel] | None = None
         if build_kernels:
             self._build_shard_kernels(state)
@@ -1010,10 +731,7 @@ class ShardedSweepEngine:
                 state, plan.interior_departures[s], self._rates
             )
             self._kernels.append(
-                make_sweep_kernel(
-                    self.kernel, state, acache, dcache, self._rates,
-                    threads=self.threads,
-                )
+                make_sweep_kernel(self.kernel, state, acache, dcache, self._rates)
             )
 
     def _ghost_tasks(self, state: EventSet, shard: int) -> set[int]:
@@ -1058,7 +776,6 @@ class ShardedSweepEngine:
                     rates=self._rates.copy(),
                     rng=self._shard_rngs[s],
                     shuffle=self.shuffle,
-                    threads=self.threads,
                     kernel=self.kernel,
                 )
             )
@@ -1066,14 +783,6 @@ class ShardedSweepEngine:
         # workers draw from theirs; finish_workers() restores them.
         self._shard_rngs = None
         return residents
-
-    def _attach_workers(
-        self, state: EventSet, workers: int,
-        transport: WorkerTransport | None = None,
-    ) -> None:
-        self._pool = ShardWorkerPool(
-            self._build_residents(state), workers=workers, transport=transport
-        )
 
     # ------------------------------------------------------------------
     # Parameters and structure.
@@ -1130,10 +839,10 @@ class ShardedSweepEngine:
     def _ensure_kernels(self, state: EventSet) -> None:
         """Build the per-shard master kernels on first in-process use.
 
-        :meth:`finish_workers` defers this: a streaming window ends with
-        a finish but never sweeps in-process again, so eagerly rebuilding
+        :meth:`finish_workers` defers this: a pooled StEM run ends with a
+        finish but never sweeps in-process again, so eagerly rebuilding
         every shard's caches and conflict-free batches there would pay
-        the exact cost the warm workers just avoided.
+        for kernels nobody uses.
         """
         if self._kernels is None:
             self._build_shard_kernels(state)
@@ -1271,16 +980,15 @@ class ShardedSweepEngine:
         generators are adopted, so subsequent in-process sweeps continue
         the exact random streams — a pooled run followed by
         ``finish_workers`` is bitwise indistinguishable from a run that
-        was in-process all along.  A dedicated pool is closed; an external
-        warm pool is only *recalled* — its processes stay alive for the
-        next window.
+        was in-process all along.  An owned pool is closed; an external
+        pool is only recalled — its processes stay alive for the next
+        window.
         """
         if not self.pooled:
             return
+        replies = self._pool.recall()
         if self._owns_pool:
-            replies = self._pool.finish()
-        else:
-            replies = self._pool.recall()
+            self._pool.close()
         self._pool = None
         rngs = []
         for s, (arr, dep, rng) in enumerate(replies):
@@ -1292,23 +1000,17 @@ class ShardedSweepEngine:
         self._last_shard_totals = None
         # Boundary caches are rebuilt now (cheap, and needed by any
         # subsequent set_rates); the per-shard kernels are deferred to the
-        # first in-process sweep — a streaming window that finishes and is
-        # discarded never pays for them.
+        # first in-process sweep — a run that finishes and is discarded
+        # never pays for them.
         self._build_master(state, build_kernels=False)
 
     def close(self) -> None:
         """Drop any attached workers without syncing state; idempotent.
 
-        Never closes an externally owned warm pool — its owner decides
-        when the cross-window workers die.  In-process shard kernels shut
-        down their thread pools so repeated engine rebuilds cannot leak
-        executor threads.
+        Never closes an externally owned pool — its owner decides when
+        the stream's workers die.
         """
         if self._pool is not None:
             if self._owns_pool:
                 self._pool.close()
             self._pool = None
-        kernels = getattr(self, "_kernels", None)
-        if kernels is not None:
-            for kernel in kernels:
-                kernel.close()

@@ -97,9 +97,7 @@ def run_stem(
     persistent_workers: int | None = None,
     shards: int = 1,
     shard_pool=None,
-    shard_partition=None,
     shard_transport=None,
-    threads: int = 1,
 ) -> StEMResult:
     """Estimate ``lambda`` and all ``mu_q`` from an incomplete trace.
 
@@ -155,26 +153,17 @@ def run_stem(
         run at any worker count.  With multiple chains, each worker hosts
         whole (sharded) chains as usual.
     shard_pool:
-        An externally owned
-        :class:`~repro.inference.shard.WarmShardWorkerPool` that hosts
-        the (single) chain's shards for this run and stays alive
-        afterwards — the streaming estimator's cross-window warm path.
-        Requires ``n_chains == 1`` and is mutually exclusive with
-        ``persistent_workers``; results are bitwise identical to every
-        other execution mode at the same seed.
-    shard_partition:
-        Optional pre-computed task partition for the sharded sweeps (the
-        incremental re-partition of :mod:`repro.online.streaming`);
-        ``None`` partitions from scratch.
+        An externally owned :class:`~repro.inference.shard.ShardWorkerPool`
+        that hosts the (single) chain's shards for this run and stays
+        alive afterwards — a stream's pool, which installs every window's
+        shards on the same processes.  Requires ``n_chains == 1`` and is
+        mutually exclusive with ``persistent_workers``; results are
+        bitwise identical to every other execution mode at the same seed.
     shard_transport:
         Worker transport for the dedicated shard pool of the
         ``persistent_workers``-with-``shards`` path (see
         :mod:`repro.inference.transport`); pipes by default.  An external
         ``shard_pool`` carries its own transport instead.
-    threads:
-        Threaded batch evaluation inside every chain's array/native sweep
-        kernel (see :class:`~repro.inference.gibbs.GibbsSampler`); draws
-        are bitwise invariant to the thread count.
     """
     if n_iterations < 1:
         raise InferenceError(f"need at least one iteration, got {n_iterations}")
@@ -209,7 +198,7 @@ def run_stem(
     )
     recipes = chain_recipes(
         trace, rates, init_method, n_chains, jitter, random_state, shuffle, kernel,
-        shards=shards, partition=shard_partition, threads=threads,
+        shards=shards,
     )
     counts = trace.skeleton.events_per_queue().astype(float)
     history = np.empty((n_iterations + 1, trace.skeleton.n_queues))

@@ -41,7 +41,7 @@ duplicates are dropped by the stream's at-least-once dedup, and the
 restored estimator continues its per-window seed stream, so the windows
 published after a crash are bitwise the windows the uninterrupted run
 would have published.  Shard workers *inside* a partition are covered
-one layer down: a kill -9'd worker shuts its warm pool, and the
+one layer down: a kill -9'd worker shuts its shard pool, and the
 streaming estimator relaunches the pool and re-runs the window from the
 same seed child (``StreamingEstimator.worker_retries``).
 """
@@ -272,11 +272,11 @@ class IngestRouter:
     service_config:
         Per-partition construction options: ``n_queues`` and ``window``
         are required; optional stream keys (``lateness`` /
-        ``max_pending`` / ``retain``), estimator keys (``step``,
-        ``stem_iterations``, ``min_observed_tasks``, ``shards``,
-        ``shard_workers``, ``repartition``, ``warm_workers``), service
-        keys (``checkpoint_every``, ``poll_interval``,
-        ``anomaly_threshold``), and ``random_state`` — the base seed,
+        ``max_pending`` / ``retain``), estimator keys (any
+        :class:`~repro.online.config.EstimatorConfig` field but
+        ``window``), service keys (``checkpoint_every``,
+        ``poll_interval``, ``anomaly_threshold``), and ``random_state`` —
+        the base seed,
         from which each partition receives its own spawned child, so a
         tier restarted with the same seed reproduces its estimates.
     block:

@@ -110,8 +110,6 @@ def estimate_to_record(estimate: WindowEstimate, index: int) -> dict:
         ],
         "failure": estimate.failure,
         "n_shards": int(getattr(estimate, "n_shards", 1)),
-        "n_warm_shards": int(getattr(estimate, "n_warm_shards", 0)),
-        "n_migrated_shards": int(getattr(estimate, "n_migrated_shards", 0)),
     }
 
 

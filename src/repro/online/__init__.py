@@ -11,11 +11,11 @@ This package implements that direction in three stages:
   points — "five minutes ago, a brief spike occurred; which component
   was the bottleneck?" becomes a lookup into the window series.
 * :mod:`repro.online.streaming` — the online form: consume an
-  incrementally revealed trace (:class:`~repro.online.streaming.TraceStream`),
-  keep shard worker processes and their built kernels warm *across*
-  windows, and re-partition incrementally as tasks arrive and age out.
-  A frozen window matches the windowed estimator bitwise at the same
-  seed; warm windows only skip rebuild work, never change a draw.
+  incrementally revealed trace (:class:`~repro.online.streaming.TraceStream`)
+  with per-window bookkeeping that costs O(window), and keep one shard
+  worker pool alive for the whole stream.  Every window matches the
+  windowed estimator bitwise at the same seed, at any shard and worker
+  count.
 * :mod:`repro.online.smc` — the O(arrival) form: a particle population
   over the rate vector reweighted per poll batch, with ESS-triggered
   systematic resampling and exact Gibbs rejuvenation on the shared
@@ -33,11 +33,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.errors import InferenceError
 from repro.telemetry import Counts
-from repro.online.config import (
-    EstimatorConfig,
-    REPARTITION_MODES,
-    estimator_config_keys,
-)
+from repro.online.config import EstimatorConfig, estimator_config_keys
 from repro.online.windowed import (
     WindowEstimate,
     WindowedEstimator,
@@ -128,7 +124,6 @@ __all__ = [
     "ReplayTraceStream",
     "EstimatorConfig",
     "estimator_config_keys",
-    "REPARTITION_MODES",
     "StreamEstimatorProtocol",
     "ESTIMATORS",
     "register_estimator",

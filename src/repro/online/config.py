@@ -23,9 +23,6 @@ from repro.errors import InferenceError
 from repro.inference.gibbs import KERNELS
 from repro.online.windowed import validate_window_params
 
-#: How the streaming estimator re-partitions work between windows.
-REPARTITION_MODES = ("incremental", "cold")
-
 
 @dataclass
 class EstimatorConfig:
@@ -33,34 +30,26 @@ class EstimatorConfig:
 
     ``window`` is the only required field.  ``step`` defaults to the
     window (non-overlapping).  The StEM fields (``stem_iterations``,
-    ``shards``, ``shard_workers``, ``repartition``, ``warm_workers``) are
-    ignored by the SMC estimator; the SMC fields (``n_particles``,
-    ``ess_threshold``, ``rejuvenation_sweeps``) are ignored by StEM.
-    Both estimators honor ``kernel``/``threads``/``worker_retries`` and
-    the window geometry.
+    ``shards``, ``shard_workers``) are ignored by the SMC estimator; the
+    SMC fields (``n_particles``, ``ess_threshold``,
+    ``rejuvenation_sweeps``) are ignored by StEM.  Both estimators honor
+    ``kernel``/``worker_retries`` and the window geometry.
 
     Attributes
     ----------
     window / step / stem_iterations / min_observed_tasks:
         As in :class:`~repro.online.windowed.WindowedEstimator`.
     shards:
-        Sharded sweeps per window (clamped to each window's task count).
+        Sharded sweeps per window (clamped to each window's task count);
+        every window partitions its tasks from scratch.
     shard_workers:
         With ``shards > 1``: host the shard sweeps on this many worker
-        processes — one warm
-        :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
-        stream, or with ``warm_workers=False`` a dedicated pool per
-        window (the cold-rebuild baseline ``benchmarks/bench_streaming.py``
-        measures against).  Results are bitwise identical either way.
-    repartition:
-        ``"incremental"`` carries the task partition across windows via
-        :func:`~repro.inference.shard.refresh_partition`, maximizing
-        warm-shard reuse; ``"cold"`` re-partitions every window, which
-        keeps every window bitwise equal to the windowed estimator.
-    kernel / threads:
-        Sweep kernel (``"array"``, its JIT lowering ``"native"``, or
-        ``"object"``; see :class:`~repro.inference.gibbs.GibbsSampler`)
-        and its thread count; draws are bitwise invariant to threads.
+        processes of one :class:`~repro.inference.shard.ShardWorkerPool`
+        that lives for the whole stream.  Results are bitwise identical
+        to in-process shards.
+    kernel:
+        Sweep kernel: ``"array"``, its JIT lowering ``"native"``, or
+        ``"object"`` (see :class:`~repro.inference.gibbs.GibbsSampler`).
     worker_retries:
         Times a window whose worker pool died under it is re-run on a
         relaunched pool before its failure is recorded as data; a retry
@@ -76,10 +65,7 @@ class EstimatorConfig:
     min_observed_tasks: int = 3
     shards: int = 1
     shard_workers: int | None = None
-    repartition: str = "incremental"
-    warm_workers: bool = True
     kernel: str = "array"
-    threads: int = 1
     worker_retries: int = 1
     n_particles: int = 16
     ess_threshold: float = 0.5
@@ -96,9 +82,6 @@ class EstimatorConfig:
             raise InferenceError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
-        self.threads = int(self.threads)
-        if self.threads < 1:
-            raise InferenceError(f"need at least one thread, got {self.threads}")
         if self.shard_workers is not None:
             self.shard_workers = int(self.shard_workers)
             if self.shard_workers < 1:
@@ -110,12 +93,6 @@ class EstimatorConfig:
                     "shard_workers requires shards > 1 — a single shard "
                     "sweeps in-process"
                 )
-        if self.repartition not in REPARTITION_MODES:
-            raise InferenceError(
-                f"repartition must be one of {REPARTITION_MODES}, "
-                f"got {self.repartition!r}"
-            )
-        self.warm_workers = bool(self.warm_workers)
         self.worker_retries = int(self.worker_retries)
         if self.worker_retries < 0:
             raise InferenceError(

@@ -363,7 +363,6 @@ class SMCEstimator(StreamingEstimator):
             base_rates,
             random_state=burnin_seed,
             kernel=self.kernel,
-            threads=self.threads,
         )
         try:
             with telemetry.phase("burn-in"):

@@ -1,34 +1,27 @@
 """Streaming sharded estimation over an incrementally revealed trace.
 
 The windowed estimator answers "what were the rates five minutes ago?"
-by rebuilding *everything* per window — sub-trace, shard plan, worker
-processes, blanket caches, kernels — even though consecutive windows
-share almost all of their tasks.  This module is the online form the
-paper points at: a :class:`TraceStream` reveals tasks as they enter the
-system, a :class:`StreamingEstimator` slides a window over the revealed
-prefix, and the expensive state is kept **warm across windows**:
+over a recorded trace.  This module is the online form the paper points
+at: a :class:`TraceStream` reveals tasks as they enter the system, and a
+:class:`StreamingEstimator` slides a window over the revealed prefix,
+running the windowed estimator's per-window recipe on each window:
 
-* worker processes and their transport connections live in a
-  :class:`~repro.inference.shard.WarmShardWorkerPool` for the whole
-  stream — spawned once, never per window;
-* the task partition is updated *incrementally*
-  (:func:`~repro.inference.shard.refresh_partition`): surviving tasks
-  keep their shard, arrivals join the shard pulling hardest on them,
-  age-outs are dropped — so shards away from the window edges keep
-  identical task sets and their workers keep their built blanket caches
-  and conflict-free kernel batches, adopting only fresh time arrays;
 * per-window bookkeeping (entry-time estimates, observed-task checks,
   sub-trace restriction via :class:`~repro.events.subset.SubsetIndex`)
-  is O(window), independent of how much trace has already streamed past.
+  is O(window), independent of how much trace has already streamed past;
+* every sharded window partitions its tasks from scratch
+  (:func:`~repro.inference.shard.partition_tasks`), exactly as the
+  windowed estimator does;
+* with ``shard_workers`` the worker processes and their transport
+  connections live in one :class:`~repro.inference.shard.ShardWorkerPool`
+  for the whole stream — spawned once, not per window — and each window
+  installs its shards on them with one message per worker.
 
-Equivalence contract (pinned by ``tests/test_streaming.py``): a frozen
-window processed by the streaming path is **bitwise identical** to
+Equivalence contract (pinned by ``tests/test_streaming.py``): every
+window of a stream is **bitwise identical** to
 :class:`~repro.online.windowed.WindowedEstimator` on the same sub-trace
-at the same seed, for any worker count and any transport; with
-``repartition="cold"`` this holds for *every* window of the stream.
-Under incremental re-partitioning later windows use a different (equally
-exact) scan order, so their estimates agree statistically rather than
-bitwise — sharding never changes the posterior, only the schedule.
+at the same seed, for any shard count, any worker count and any
+transport.
 """
 
 from __future__ import annotations
@@ -41,21 +34,10 @@ from repro import telemetry
 from repro.errors import InferenceError
 from repro.events.subset import SubsetIndex, subset_trace
 from repro.inference import run_stem
-from repro.inference.shard import (
-    WarmShardWorkerPool,
-    partition_tasks,
-    refresh_partition,
-)
+from repro.inference.shard import ShardWorkerPool
 from repro.inference.transport import WorkerTransport
 from repro.observation import ObservedTrace
-
-# Re-exported for backward compatibility (REPARTITION_MODES lived here
-# before the config extraction).
-from repro.online.config import (
-    REPARTITION_MODES,
-    EstimatorConfig,
-    estimator_config_keys,
-)
+from repro.online.config import EstimatorConfig, estimator_config_keys
 from repro.online.windowed import (
     WindowEstimate,
     _entry_time_estimates,
@@ -169,21 +151,15 @@ class StreamEstimate(WindowEstimate):
     n_shards:
         Effective shard count of the window's sweeps (clamped to the
         window's task count).
-    n_warm_shards / n_migrated_shards:
-        Under a warm worker pool: shards whose resident structure was
-        unchanged (workers kept their kernels, adopting only fresh times
-        and streams) versus shards shipped as full rebuilds.
     """
 
     n_new_tasks: int = 0
     n_aged_out: int = 0
     n_shards: int = 1
-    n_warm_shards: int = 0
-    n_migrated_shards: int = 0
 
 
 class StreamingEstimator:
-    """Sliding-window StEM over a :class:`TraceStream` with warm workers.
+    """Sliding-window StEM over a :class:`TraceStream`.
 
     Parameters
     ----------
@@ -203,7 +179,7 @@ class StreamingEstimator:
         ``random_state`` and ``transport`` stay outside the config
         because they are runtime substrate, not configuration.
     transport:
-        Worker transport for the pool (see
+        Worker transport for the stream's shard pool (see
         :mod:`repro.inference.transport`); pipes by default, sockets for
         cross-machine workers.  The estimator takes ownership: its
         :meth:`close` (and therefore :meth:`run`) also closes the
@@ -248,9 +224,7 @@ class StreamingEstimator:
         self._seed_seq = as_seed_sequence(random_state)
         self._entries: dict[int, float] = {}
         self._observed: dict[int, bool] = {}
-        self._assignment: dict[int, int] = {}
-        self._prev_n_shards = 0
-        self._pool: WarmShardWorkerPool | None = None
+        self._pool: ShardWorkerPool | None = None
         self.n_windows_done = 0
         #: Pools relaunched after dying mid-window (fault observability).
         self.n_worker_relaunches = 0
@@ -278,22 +252,22 @@ class StreamingEstimator:
 
     @property
     def pooled(self) -> bool:
-        """Whether a warm worker pool is currently alive."""
+        """Whether the stream's shard pool is currently alive."""
         return self._pool is not None and not self._pool.closed
 
-    def _ensure_pool(self) -> WarmShardWorkerPool | None:
-        if self.shards <= 1 or not self.shard_workers or not self.warm_workers:
+    def _ensure_pool(self) -> ShardWorkerPool | None:
+        if self.shards <= 1 or not self.shard_workers:
             return None
         if self._pool is None or self._pool.closed:
-            # Clamp like the dedicated pools do: a worker beyond the shard
-            # count could never host a shard, only idle for the stream.
-            self._pool = WarmShardWorkerPool(
+            # Clamp like the engine-owned pools do: a worker beyond the
+            # shard count could never host a shard, only idle.
+            self._pool = ShardWorkerPool(
                 min(self.shard_workers, self.shards), transport=self.transport
             )
         return self._pool
 
     def pool_stats(self) -> dict | None:
-        """Liveness probe of the warm shard pool (``None`` when unpooled).
+        """Liveness probe of the stream's shard pool (``None`` when unpooled).
 
         What a supervising service folds into its health record: worker
         pids and alive counts from the pool plus this estimator's
@@ -301,7 +275,7 @@ class StreamingEstimator:
         monitoring consumer before *and* after the recovery path runs.
         """
         if self._pool is None:
-            if not (self.shards > 1 and self.shard_workers and self.warm_workers):
+            if not (self.shards > 1 and self.shard_workers):
                 return None
             return {"closed": True, "n_workers": 0, "n_alive": 0,
                     "pids": [], "n_hosted_shards": 0,
@@ -332,7 +306,7 @@ class StreamingEstimator:
         """Everything needed to resume window processing bitwise.
 
         Captures the estimator's configuration, its per-window bookkeeping
-        (entry estimates, observed-task cache, carried partition), and —
+        (entry estimates, observed-task cache), and —
         the part that makes resumption exact — the seed material plus the
         number of per-window children already spawned from it: window *i*
         always consumes the *i*-th spawn, so a restored estimator's next
@@ -351,8 +325,6 @@ class StreamingEstimator:
             },
             "entries": dict(self._entries),
             "observed": dict(self._observed),
-            "assignment": dict(self._assignment),
-            "prev_n_shards": self._prev_n_shards,
             "n_windows_done": self.n_windows_done,
         }
 
@@ -387,8 +359,6 @@ class StreamingEstimator:
         )
         self._entries = {int(k): float(v) for k, v in state["entries"].items()}
         self._observed = {int(k): bool(v) for k, v in state["observed"].items()}
-        self._assignment = {int(k): int(v) for k, v in state["assignment"].items()}
-        self._prev_n_shards = int(state["prev_n_shards"])
         self.n_windows_done = int(state["n_windows_done"])
 
     # ------------------------------------------------------------------
@@ -430,20 +400,6 @@ class StreamingEstimator:
         if hit:
             self._observed[task_id] = True
         return hit
-
-    def _window_partition(self, skeleton, n_tasks: int):
-        """The window's task partition, carried across windows when warm."""
-        if self.shards <= 1 or self.repartition == "cold":
-            self._assignment = {}
-            return None  # the engine partitions from scratch
-        n_shards = min(self.shards, n_tasks)
-        if self._assignment and self._prev_n_shards == n_shards:
-            part = refresh_partition(skeleton, self._assignment, n_shards)
-        else:
-            part = partition_tasks(skeleton, n_shards)
-        self._assignment = dict(part.assignment)
-        self._prev_n_shards = part.n_shards
-        return part
 
     def process_window(self, t0: float) -> StreamEstimate:
         """Advance the stream past ``t0 + window`` and estimate the window.
@@ -491,8 +447,6 @@ class StreamingEstimator:
             self._entries[task] = entry
         aged = [k for k, t in self._entries.items() if t < t0]
         for k in aged:
-            # The partition map needs no pruning here: refresh_partition
-            # filters to the window's tasks itself.
             del self._entries[k]
             self._observed.pop(k, None)
         tasks = [k for k, t in self._entries.items() if t0 <= t < t1]
@@ -512,24 +466,11 @@ class StreamingEstimator:
             )
         with telemetry.phase("subset"):
             window_trace = self.stream.subset(tasks)
-        with telemetry.phase("partition"):
-            partition = self._window_partition(window_trace.skeleton, len(tasks))
-        n_shards = (
-            partition.n_shards if partition is not None
-            else min(self.shards, len(tasks))
-        )
-        cold_workers = (
-            self.shard_workers
-            if (self.shard_workers and self.shards > 1 and not self.warm_workers)
-            else None
-        )
         rates = None
         failure = None
         relaunches_left = self.worker_retries
         while True:
             pool = self._ensure_pool()
-            if pool is not None:
-                pool.last_adoption = {}
             try:
                 stem = run_stem(
                     window_trace,
@@ -543,35 +484,25 @@ class StreamingEstimator:
                     random_state=as_generator(self._attempt_seed(window_seed)),
                     kernel=self.kernel,
                     shards=self.shards,
-                    shard_partition=partition,
                     shard_pool=pool,
-                    persistent_workers=cold_workers,
-                    shard_transport=self.transport if cold_workers else None,
-                    threads=self.threads,
                 )
                 rates = stem.rates
             except InferenceError as exc:
                 if pool is not None and pool.closed and relaunches_left > 0:
-                    # The warm pool died under the window (a kill -9'd or
+                    # The pool died under the window (a kill -9'd or
                     # crashed worker shuts the whole pool down).  Relaunch
                     # it — _ensure_pool sees the closed pool and spawns a
-                    # fresh one, whose empty adoption diff re-ships every
-                    # resident — and re-run this window from its own seed.
+                    # fresh one — and re-run this window from its own seed.
                     relaunches_left -= 1
                     self.n_worker_relaunches += 1
                     continue
                 failure = str(exc)  # a failed window is data, not a crash
             break
-        adoption = pool.last_adoption if pool is not None else {}
         return StreamEstimate(
             t0, t1, len(tasks), n_observed, rates, failure,
             n_new_tasks=len(arrived),
             n_aged_out=len(aged),
-            n_shards=n_shards,
-            n_warm_shards=sum(1 for k in adoption.values() if k == "times"),
-            n_migrated_shards=sum(
-                1 for k in adoption.values() if k == "resident"
-            ),
+            n_shards=min(self.shards, len(tasks)),
         )
 
     def estimates(self):
@@ -595,7 +526,7 @@ class StreamingEstimator:
             i += 1
 
     def run(self) -> list[StreamEstimate]:
-        """Consume the whole stream; closes the worker pool afterwards."""
+        """Consume the whole stream; closes the shard pool afterwards."""
         try:
             return list(self.estimates())
         finally:

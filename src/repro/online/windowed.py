@@ -124,11 +124,9 @@ class WindowedEstimator:
         :func:`~repro.inference.stem.run_stem`); the shard count is
         clamped to each window's task count, so small windows fall back
         to the plain kernel automatically.
-    kernel / threads:
-        Sweep kernel and batch-evaluation thread count for every
-        window's E-step chains (see
-        :class:`~repro.inference.gibbs.GibbsSampler`); neither changes
-        a draw.
+    kernel:
+        Sweep kernel for every window's E-step chains (see
+        :class:`~repro.inference.gibbs.GibbsSampler`).
     """
 
     def __init__(
@@ -141,7 +139,6 @@ class WindowedEstimator:
         random_state: RandomState = None,
         shards: int = 1,
         kernel: str = "array",
-        threads: int = 1,
     ) -> None:
         validate_window_params(window, step, stem_iterations, shards)
         self.trace = trace
@@ -152,7 +149,6 @@ class WindowedEstimator:
         self._random_state = random_state
         self.shards = int(shards)
         self.kernel = str(kernel)
-        self.threads = int(threads)
         self._entries = _entry_time_estimates(trace)
         self._subset_index = SubsetIndex(trace.skeleton)
 
@@ -190,7 +186,6 @@ class WindowedEstimator:
                     random_state=stream,
                     kernel=self.kernel,
                     shards=self.shards,
-                    threads=self.threads,
                 )
                 rates = stem.rates
             except InferenceError as exc:

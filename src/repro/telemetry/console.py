@@ -18,8 +18,8 @@ __all__ = ["render_top"]
 
 #: Pipeline order for the phase-latency panel (unknown phases follow).
 _PHASE_ORDER = (
-    "poll", "subset", "partition", "adopt", "burn-in", "sweeps",
-    "m-step", "reweight", "publish", "checkpoint",
+    "poll", "subset", "burn-in", "sweeps", "m-step", "reweight",
+    "publish", "checkpoint",
 )
 
 

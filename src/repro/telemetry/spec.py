@@ -75,7 +75,7 @@ SPEC: dict[str, tuple[str, str, str]] = {
     "repro_window_phase_seconds": (
         "histogram", "estimator",
         "Per-window pipeline phase latency; phase label is one of poll, subset, "
-        "partition, burn-in, sweeps, m-step, reweight, publish, checkpoint."),
+        "burn-in, sweeps, m-step, reweight, publish, checkpoint."),
     "repro_windows_processed_total": (
         "counter", "estimator",
         "Windows that produced a rate estimate."),
@@ -87,7 +87,7 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Windows that exhausted worker-relaunch retries and published a failure."),
     "repro_worker_relaunches_total": (
         "counter", "estimator",
-        "Warm shard worker pool relaunches after a worker death, since the "
+        "Shard worker pool relaunches after a worker death, since the "
         "estimator was built (health estimator.n_worker_relaunches)."),
     "repro_smc_ess": (
         "gauge", "estimator",

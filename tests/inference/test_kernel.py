@@ -170,7 +170,7 @@ class TestPerMovePieceEquivalence:
         rng = np.random.default_rng(29)
         u = rng.random(sel.size)
         v = rng.random(sel.size)
-        ev, x = twin._eval_arrival_chunk(state.arrival, state.departure, sel, u, v)
+        ev, x = twin._eval_arrival_batch(state.arrival, state.departure, sel, u, v)
         ptr = 0
         for i, e in enumerate(twin.a_ev):
             dist = arrival_conditional(state, int(e), rates)
@@ -183,7 +183,6 @@ class TestPerMovePieceEquivalence:
             )
             ptr += 1
         assert ptr == ev.size
-        twin.close()
 
     def test_native_departure_draws_match_sample_uv(self, warm):
         from repro.inference.native import make_sweep_kernel
@@ -199,7 +198,7 @@ class TestPerMovePieceEquivalence:
         rng = np.random.default_rng(31)
         u = rng.random(sel.size)
         v = rng.random(sel.size)
-        ev, x = twin._eval_departure_chunk(state.arrival, state.departure, sel, u, v)
+        ev, x = twin._eval_departure_batch(state.arrival, state.departure, sel, u, v)
         ptr = 0
         for i, e in enumerate(twin.d_ev):
             dist = final_departure_conditional(state, int(e), rates)
@@ -219,7 +218,6 @@ class TestPerMovePieceEquivalence:
             )
             ptr += 1
         assert ptr == ev.size
-        twin.close()
 
     def test_batches_are_conflict_free(self, warm):
         """No batch may contain a move that writes what another one touches."""
@@ -291,72 +289,6 @@ class TestSweepValidity:
         before = state.arrival[obs].copy()
         sampler.run(8)
         np.testing.assert_array_equal(state.arrival[obs], before)
-
-    def test_threads_forwarded_and_bitwise_invariant(self):
-        """threads=T reaches the unsharded kernel, the chunked path really
-        runs (batches large enough to split), and no draw changes."""
-        from repro.inference.kernel import _MIN_ROWS_PER_THREAD
-
-        net = build_tandem_network(4.0, [6.0, 8.0, 9.0])
-        sim = simulate_network(net, 800, random_state=3)
-        trace = TaskSampling(fraction=0.1).observe(sim.events, random_state=1)
-        rates = sim.true_rates()
-        runs = {}
-        for threads in (1, 2):
-            state = heuristic_initialize(trace, rates)
-            sampler = GibbsSampler(trace, state, rates, random_state=21,
-                                   kernel="array", threads=threads)
-            assert sampler._array_kernel.threads == threads
-            if threads > 1:
-                # At least one batch must be big enough to actually chunk.
-                assert any(
-                    b.size >= threads * _MIN_ROWS_PER_THREAD
-                    for b in sampler._array_kernel.a_batches
-                )
-            sampler.run(4)
-            runs[threads] = (state.arrival.copy(), state.departure.copy())
-        np.testing.assert_array_equal(runs[1][0], runs[2][0])
-        np.testing.assert_array_equal(runs[1][1], runs[2][1])
-
-    def test_rebuild_and_close_release_executor_threads(self):
-        """Kernel rebuilds and sampler teardown shut thread pools down
-        deterministically instead of leaking them to GC.
-
-        Pre-fix, ``ArraySweepKernel`` had no ``close()``: a rebuilt
-        sampler left every superseded kernel's lazily created
-        ``ThreadPoolExecutor`` alive until garbage collection happened to
-        run, and nothing ever shut down the last one.
-        """
-        import threading
-
-        net = build_tandem_network(4.0, [6.0, 8.0, 9.0])
-        sim = simulate_network(net, 800, random_state=3)
-        trace = TaskSampling(fraction=0.1).observe(sim.events, random_state=1)
-        rates = sim.true_rates()
-        baseline = threading.active_count()
-        state = heuristic_initialize(trace, rates)
-        sampler = GibbsSampler(trace, state, rates, random_state=21,
-                               kernel="array", threads=2)
-        sampler.sweep()
-        # The chunked path must actually have spawned the pool.
-        assert sampler._array_kernel._executor is not None
-        superseded = []
-        for _ in range(3):
-            superseded.append(sampler._array_kernel)
-            sampler.rebuild_blanket_cache()
-            sampler.sweep()
-        # Every superseded kernel's pool was shut down at rebuild time
-        # (references held here, so GC cannot have cleaned up for us).
-        for kernel in superseded:
-            assert kernel._executor is None
-        sampler.close()
-        assert sampler._array_kernel._executor is None
-        # shutdown(wait=True) joins the workers: back to baseline now.
-        assert threading.active_count() == baseline
-        # close() parks the kernel, it does not poison it: a later sweep
-        # recreates the pool lazily and draws are unaffected.
-        sampler.sweep()
-        sampler.close()
 
     def test_reproducible_and_kernel_validated(self, tandem_trace, tandem_sim):
         rates = tandem_sim.true_rates()

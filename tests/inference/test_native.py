@@ -275,10 +275,10 @@ class TestFusedLoops:
         for sel in array.a_batches:
             u = rng.random(sel.size)
             v = rng.random(sel.size)
-            ev_a, x_a = array._eval_arrival_chunk(
+            ev_a, x_a = array._eval_arrival_batch(
                 state.arrival, state.departure, sel, u, v
             )
-            ev_n, x_n = twin._eval_arrival_chunk(
+            ev_n, x_n = twin._eval_arrival_batch(
                 state.arrival, state.departure, sel, u, v
             )
             np.testing.assert_array_equal(ev_a, ev_n)
@@ -291,10 +291,10 @@ class TestFusedLoops:
         for sel in array.d_batches:
             u = rng.random(sel.size)
             v = rng.random(sel.size)
-            ev_a, x_a = array._eval_departure_chunk(
+            ev_a, x_a = array._eval_departure_batch(
                 state.arrival, state.departure, sel, u, v
             )
-            ev_n, x_n = twin._eval_departure_chunk(
+            ev_n, x_n = twin._eval_departure_batch(
                 state.arrival, state.departure, sel, u, v
             )
             np.testing.assert_array_equal(ev_a, ev_n)

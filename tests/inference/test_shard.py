@@ -242,18 +242,6 @@ class TestBitwiseEquivalence:
             rtol=1e-12, atol=1e-12,
         )
 
-    def test_threads_do_not_change_draws(self, shard_setup):
-        sim, trace = shard_setup
-        rates = sim.true_rates()
-        results = []
-        for threads in (1, 2):
-            state = heuristic_initialize(trace, rates)
-            GibbsSampler(
-                trace, state, rates, random_state=9, shards=2, threads=threads
-            ).run(4)
-            results.append(state.arrival.copy())
-        np.testing.assert_array_equal(results[0], results[1])
-
     def test_validation(self, shard_setup):
         sim, trace = shard_setup
         rates = sim.true_rates()
@@ -264,8 +252,6 @@ class TestBitwiseEquivalence:
             GibbsSampler(trace, state, rates, shards=2, kernel="object")
         with pytest.raises(InferenceError):
             GibbsSampler(trace, state, rates, shards=1, shard_workers=2)
-        with pytest.raises(InferenceError):
-            GibbsSampler(trace, state, rates, threads=0)
 
 
 @pytest.mark.slow

@@ -306,12 +306,12 @@ class TestSocketPools:
         sim, trace = transport_setup
         kwargs = dict(n_iterations=20, random_state=13, init_method="heuristic")
         serial = run_stem(trace, shards=2, **kwargs)
-        # Drive the socket path through the estimator-facing API: a warm
-        # pool over a socket transport hosting one run's shards.
-        from repro.inference import WarmShardWorkerPool
+        # Drive the socket path through the estimator-facing API: a
+        # stream-style pool over a socket transport hosting one run's shards.
+        from repro.inference import ShardWorkerPool
 
         transport = SocketTransport()
-        pool = WarmShardWorkerPool(2, transport=transport)
+        pool = ShardWorkerPool(2, transport=transport)
         try:
             pooled = run_stem(trace, shards=2, shard_pool=pool, **kwargs)
         finally:

@@ -391,7 +391,7 @@ class TestLiveEquivalence:
         ).run()
         got = StreamingEstimator(
             ingested(trace), window=window, stem_iterations=12,
-            random_state=2, repartition="cold",
+            random_state=2,
         ).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
@@ -406,7 +406,6 @@ class TestLiveEquivalence:
             got = StreamingEstimator(
                 ingested(trace), window=window, stem_iterations=10,
                 random_state=5, shards=2, shard_workers=workers,
-                repartition="cold",
             ).run()
             assert_windows_equal(ref, got)
 

@@ -114,14 +114,12 @@ class TestEstimatorConfig:
         # Legacy validations stay word-for-word where tests pin them.
         with pytest.raises(InferenceError, match="kernel"):
             EstimatorConfig(window=1.0, kernel="simd")
-        with pytest.raises(InferenceError, match="thread"):
-            EstimatorConfig(window=1.0, threads=0)
 
     def test_from_state_rejects_missing_and_unknown_keys(self):
         state = EstimatorConfig(window=2.0).as_dict()
         assert EstimatorConfig.from_state(state) == EstimatorConfig(window=2.0)
         for skew in ("worker_retries", "n_particles", "ess_threshold",
-                     "rejuvenation_sweeps", "kernel", "threads"):
+                     "rejuvenation_sweeps", "kernel"):
             partial = dict(state)
             partial.pop(skew)
             with pytest.raises(InferenceError, match=f"missing \\['{skew}'\\]"):
@@ -133,12 +131,13 @@ class TestEstimatorConfig:
         trace, horizon = make_trace(n_tasks=80)
         legacy = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=9,
-            random_state=3, threads=2, worker_retries=2,
+            random_state=3, min_observed_tasks=2, worker_retries=2,
         )
         explicit = StreamingEstimator(
             ReplayTraceStream(trace), random_state=3,
             config=EstimatorConfig(
-                window=horizon, stem_iterations=9, threads=2, worker_retries=2
+                window=horizon, stem_iterations=9, min_observed_tasks=2,
+                worker_retries=2,
             ),
         )
         assert legacy.config == explicit.config
@@ -162,11 +161,11 @@ class TestEstimatorConfig:
     @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
     def test_knobs_are_read_only_views_of_the_config(self, name):
         trace, horizon = make_trace(n_tasks=80)
-        est = build(name, trace, horizon, threads=2)
+        est = build(name, trace, horizon, min_observed_tasks=2)
         try:
             assert est.window == horizon / 4
             assert est.step == horizon / 4
-            assert est.threads == 2
+            assert est.min_observed_tasks == 2
             assert est.n_particles == 8
             with pytest.raises(AttributeError):
                 est.kernel = "object"
@@ -181,7 +180,7 @@ class TestEstimatorConfig:
     def test_config_keys_cover_every_dataclass_field(self):
         assert set(estimator_config_keys()) >= {
             "window", "step", "stem_iterations", "shards", "kernel",
-            "threads", "worker_retries", "n_particles", "ess_threshold",
+            "worker_retries", "n_particles", "ess_threshold",
             "rejuvenation_sweeps",
         }
 

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import InferenceError
-from repro.inference.shard import (
-    WarmShardWorkerPool,
-    partition_tasks,
-    refresh_partition,
-)
+from repro.inference.shard import ShardWorkerPool
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
 from repro.online import (
+    EstimatorConfig,
     ReplayTraceStream,
     StreamingEstimator,
     WindowedEstimator,
@@ -72,8 +69,34 @@ class TestReplayTraceStream:
 
 
 class TestStreamingEquivalence:
-    """The acceptance contract: frozen windows match the windowed path
-    bitwise at the same seed, for any worker count and any transport."""
+    """The acceptance contract: every window matches the windowed path
+    bitwise at the same seed, for any shard count, any worker count and
+    any transport."""
+
+    @pytest.mark.parametrize(
+        "shards, shard_workers",
+        [(1, None), (2, None), (2, 1), (2, 2), (3, None), (3, 1), (3, 2)],
+        ids=lambda v: str(v),
+    )
+    def test_every_window_matches_windowed_bitwise(self, shards, shard_workers):
+        """Overlapping windows (step = window / 2), default partitioning:
+        each window partitions from scratch, so every one of them is the
+        windowed estimator's, not just the first."""
+        trace, horizon = make_trace(n_tasks=200)
+        window = horizon / 4
+        ref = WindowedEstimator(
+            trace, window=window, step=window / 2, stem_iterations=6,
+            random_state=5, shards=shards,
+        ).run()
+        got = StreamingEstimator(
+            ReplayTraceStream(trace), window=window, step=window / 2,
+            stem_iterations=6, random_state=5, shards=shards,
+            shard_workers=shard_workers,
+        ).run()
+        assert_windows_equal(ref, got)
+        assert sum(w.ok for w in got) >= 4
+        if shards > 1:
+            assert any(w.ok and w.n_shards == shards for w in got)
 
     def test_serial_streaming_matches_windowed_bitwise(self):
         trace, horizon = make_trace()
@@ -83,14 +106,14 @@ class TestStreamingEquivalence:
         ).run()
         got = StreamingEstimator(
             ReplayTraceStream(trace), window=window, stem_iterations=12,
-            random_state=2, repartition="cold",
+            random_state=2,
         ).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
 
     def test_warm_pool_sharded_matches_windowed_bitwise(self):
-        """Sharded windows on a warm cross-window pool are bitwise the
-        windowed estimator's cold in-process runs."""
+        """Sharded windows on the stream's pool are bitwise the windowed
+        estimator's in-process runs."""
         trace, horizon = make_trace()
         window = horizon / 4
         ref = WindowedEstimator(
@@ -98,7 +121,7 @@ class TestStreamingEquivalence:
         ).run()
         est = StreamingEstimator(
             ReplayTraceStream(trace), window=window, stem_iterations=10,
-            random_state=5, shards=2, shard_workers=2, repartition="cold",
+            random_state=5, shards=2, shard_workers=2,
         )
         got = est.run()
         assert not est.pooled  # run() closes the pool
@@ -112,105 +135,9 @@ class TestStreamingEquivalence:
             got = StreamingEstimator(
                 ReplayTraceStream(trace), window=window, stem_iterations=8,
                 random_state=9, shards=3, shard_workers=workers,
-                repartition="cold",
             ).run()
             results.append(got)
         assert_windows_equal(results[0], results[1])
-
-    def test_cold_worker_mode_matches_warm_bitwise(self):
-        """warm_workers=False (fresh pool per window) changes no draw."""
-        trace, horizon = make_trace(n_tasks=200)
-        window = horizon / 3
-        warm = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=8,
-            random_state=4, shards=2, shard_workers=2, repartition="cold",
-        ).run()
-        cold = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=8,
-            random_state=4, shards=2, shard_workers=2, repartition="cold",
-            warm_workers=False,
-        ).run()
-        assert_windows_equal(warm, cold)
-
-    def test_incremental_first_window_matches_windowed(self):
-        """Incremental re-partitioning degenerates to the cold partition on
-        the first window, so the frozen-window contract holds there too."""
-        trace, horizon = make_trace()
-        window = horizon / 4
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=10, random_state=5, shards=2
-        ).run()
-        got = StreamingEstimator(
-            ReplayTraceStream(trace), window=window, stem_iterations=10,
-            random_state=5, shards=2, shard_workers=2,
-            repartition="incremental",
-        ).run()
-        np.testing.assert_array_equal(ref[0].rates, got[0].rates)
-        # Later windows use a different (equally exact) scan order; they
-        # must still estimate every window the reference estimated.
-        assert [w.ok for w in ref] == [w.ok for w in got]
-        for w in got:
-            if w.ok:
-                assert np.all(np.isfinite(w.rates)) and np.all(w.rates > 0)
-
-
-class TestWarmReuse:
-    def test_overlapping_windows_keep_middle_shards_warm(self):
-        """With step < window and incremental re-partitioning, shards away
-        from the window edges keep their structure — workers reuse their
-        kernels and adopt only fresh times."""
-        trace, horizon = make_trace(n_tasks=600, fraction=0.3)
-        est = StreamingEstimator(
-            ReplayTraceStream(trace), window=horizon / 3, step=horizon / 9,
-            stem_iterations=6, random_state=5, shards=4, shard_workers=2,
-            repartition="incremental",
-        )
-        got = est.run()
-        sharded = [w for w in got if w.ok and w.n_shards > 1]
-        assert sharded, "no sharded windows ran"
-        # First sharded window is all full rebuilds ...
-        assert sharded[0].n_warm_shards == 0
-        assert sharded[0].n_migrated_shards == sharded[0].n_shards
-        # ... and warm reuse fires on later overlapping windows.
-        assert sum(w.n_warm_shards for w in sharded[1:]) > 0
-
-    def test_incremental_partition_keeps_surviving_tasks_in_place(self):
-        trace, _ = make_trace(n_tasks=200)
-        skeleton = trace.skeleton
-        part = partition_tasks(skeleton, 4)
-        refreshed = refresh_partition(skeleton, part.assignment, 4)
-        # Same task universe, nothing moved: the refresh is the identity.
-        assert refreshed.assignment == part.assignment
-
-    def test_refresh_partition_covers_new_tasks_and_keeps_shards_nonempty(self):
-        trace, _ = make_trace(n_tasks=200)
-        skeleton = trace.skeleton
-        part = partition_tasks(skeleton, 4)
-        # Pretend half the tasks are new (assignment unknown).
-        stale = {
-            t: s for t, s in part.assignment.items() if t % 2 == 0
-        }
-        refreshed = refresh_partition(skeleton, stale, 4)
-        assert set(refreshed.assignment) == set(part.assignment)
-        assert refreshed.n_shards == 4
-        assert all(len(block) > 0 for block in refreshed.shards)
-        # Surviving tasks stayed put unless the refine pass moved them for
-        # a strictly smaller cut; the bulk must not churn.
-        kept = sum(
-            1 for t, s in stale.items() if refreshed.assignment[t] == s
-        )
-        assert kept >= int(0.8 * len(stale))
-
-    def test_refresh_partition_refills_emptied_shard(self):
-        trace, _ = make_trace(n_tasks=120)
-        skeleton = trace.skeleton
-        tasks = sorted(skeleton.task_ids)
-        # Previous assignment crams everything into shards 0 and 1 of 3:
-        # shard 2's tasks all "aged out".
-        stale = {t: i % 2 for i, t in enumerate(tasks)}
-        refreshed = refresh_partition(skeleton, stale, 3)
-        assert refreshed.n_shards == 3
-        assert all(len(block) > 0 for block in refreshed.shards)
 
 
 class TestWorkerCrashRecovery:
@@ -225,12 +152,12 @@ class TestWorkerCrashRecovery:
 
         trace, horizon = make_trace(n_tasks=200)
         kwargs = dict(window=horizon / 3, stem_iterations=6, random_state=7,
-                      shards=2, shard_workers=2, repartition="cold")
+                      shards=2, shard_workers=2)
         ref = StreamingEstimator(ReplayTraceStream(trace), **kwargs).run()
 
         est = StreamingEstimator(ReplayTraceStream(trace), **kwargs)
         gen = est.estimates()
-        got = [next(gen)]  # first window brings the warm pool up
+        got = [next(gen)]  # first window brings the stream's pool up
         stats = est.pool_stats()
         assert stats is not None and stats["n_alive"] == 2
         victim = next(pid for pid in est._pool.worker_pids() if pid)
@@ -254,7 +181,7 @@ class TestWorkerCrashRecovery:
         trace, horizon = make_trace(n_tasks=200)
         est = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon / 3, stem_iterations=6,
-            random_state=7, shards=2, shard_workers=2, repartition="cold",
+            random_state=7, shards=2, shard_workers=2,
         )
         attempts = []
 
@@ -336,16 +263,12 @@ class TestStreamingLifecycle:
             StreamingEstimator(stream, window=1.0, shard_workers=2)
         with pytest.raises(InferenceError):
             StreamingEstimator(stream, window=1.0, shards=2, shard_workers=0)
-        with pytest.raises(InferenceError):
-            StreamingEstimator(stream, window=1.0, repartition="sometimes")
         with pytest.raises(InferenceError, match="kernel"):
             StreamingEstimator(stream, window=1.0, kernel="simd")
-        with pytest.raises(InferenceError, match="thread"):
-            StreamingEstimator(stream, window=1.0, threads=0)
 
     def test_kernel_and_threads_do_not_change_estimates(self):
-        """kernel='native'/threads=2 windows agree with the defaults
-        (bitwise when native falls back; threads are always bitwise)."""
+        """kernel='native' windows agree with the defaults (bitwise when
+        native falls back to the array evaluation)."""
         from repro.inference.native import NUMBA_AVAILABLE
 
         trace, horizon = make_trace(n_tasks=150)
@@ -355,7 +278,7 @@ class TestStreamingLifecycle:
         ).run()
         got = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon / 2, stem_iterations=5,
-            random_state=7, kernel="native", threads=2,
+            random_state=7, kernel="native",
         ).run()
         if not NUMBA_AVAILABLE:
             assert_windows_equal(ref, got)
@@ -366,7 +289,9 @@ class TestStreamingLifecycle:
 
     def test_checkpoint_missing_config_fields_is_rejected(self):
         """A checkpoint whose config lacks a field (one written before
-        kernel/threads existed) or names no estimator is refused with an
+        kernel/worker_retries existed), carries fields this build no
+        longer has (one written before threads/repartition/warm_workers
+        were removed), or names no estimator is refused with an
         InferenceError; an explicit non-default kernel still refuses a
         default checkpoint."""
         trace, horizon = make_trace(n_tasks=120)
@@ -376,34 +301,48 @@ class TestStreamingLifecycle:
         )
         state = est.state_dict()
         assert state["config"]["kernel"] == "array"
-        assert state["config"]["threads"] == 1
+        assert state["config"]["worker_retries"] == 1
         fresh = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=5,
             random_state=3,
         )
         mismatched = StreamingEstimator(
             ReplayTraceStream(trace), window=horizon, stem_iterations=5,
-            random_state=3, threads=2,
+            random_state=3, kernel="native",
         )
         with pytest.raises(InferenceError, match="captured under config"):
             mismatched.load_state_dict(state)
         old_config = dict(state["config"])
         del old_config["kernel"]
-        del old_config["threads"]
+        del old_config["worker_retries"]
         with pytest.raises(InferenceError, match="missing"):
             fresh.load_state_dict({**state, "config": old_config})
+        # The estimator state an older build wrote: its config carries the
+        # removed knobs, and the state the carried partition.
+        older = {
+            **state,
+            "config": {
+                **state["config"], "repartition": "incremental",
+                "warm_workers": True, "threads": 1,
+            },
+            "assignment": {0: 0}, "prev_n_shards": 1,
+        }
+        unknown = r"unknown \['repartition', 'threads', 'warm_workers'\]"
+        with pytest.raises(InferenceError, match=unknown):
+            fresh.load_state_dict(older)
+        with pytest.raises(InferenceError, match=unknown):
+            EstimatorConfig.from_state(older["config"])
         unnamed = {k: v for k, v in state.items() if k != "estimator"}
         with pytest.raises(InferenceError, match="captured by the None"):
             fresh.load_state_dict(unnamed)
         fresh.load_state_dict(state)  # the complete checkpoint still loads
 
     def test_warm_pool_reuse_across_runs_is_transparent(self):
-        """Adoption diffs survive a recall: a second pass over the same
-        stream content reuses every shard's kernel (all-'times' windows)
-        and still matches the first pass bitwise."""
+        """A pool outlives the stream that used it: a second pass over the
+        same stream content on the same pool matches the first bitwise."""
         trace, horizon = make_trace(n_tasks=200)
         window = horizon  # one frozen window covering everything
-        pool = WarmShardWorkerPool(2)
+        pool = ShardWorkerPool(2)
         try:
             runs = []
             for _ in range(2):
@@ -411,11 +350,9 @@ class TestStreamingLifecycle:
                     ReplayTraceStream(trace), window=window, stem_iterations=6,
                     random_state=3, shards=2, shard_workers=2,
                 )
-                est._pool = pool  # share one warm pool across runs
+                est._pool = pool  # share one pool across runs
                 runs.append(list(est.estimates()))
             assert_windows_equal(runs[0], runs[1])
-            # Second run adopted every shard warm.
-            assert runs[1][0].n_warm_shards == runs[1][0].n_shards
-            assert runs[1][0].n_migrated_shards == 0
+            assert runs[1][0].ok
         finally:
             pool.close()

@@ -19,10 +19,13 @@ loop on a simulated webapp trace (the paper's Section 5.2 workload):
   ratio is the no-O(history) guarantee), the retained container sizes,
   and the checkpoint snapshot size at the end of the run.
 
-Results land in ``BENCH_live.json`` (uploaded as a CI artifact); the CI
+Results land in the tracked ``benchmarks/results/live.json``, each
+benchmark's under its own key together with the scale and the host's CPU
+count, numba presence and Python/numpy versions; the committed copy is a
+``REPRO_FULL=1`` run, so the trajectory lives in the repository.  The
 smoke asserts the service finishes, every grid window is published, and
-throughput clears a deliberately loose floor — perf trajectory is read
-from the artifact history, regressions from the assertions.
+throughput clears a deliberately loose floor; regressions come from the
+assertions.
 """
 
 import json
@@ -30,6 +33,7 @@ import os
 import pickle
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,10 +44,10 @@ from repro.observation import TaskSampling
 from repro.online import StreamingEstimator
 from repro.webapp import WebAppConfig, generate_webapp_trace
 
-from conftest import full_scale
+from conftest import full_scale, host
 
-#: Where the machine-readable result lands (uploaded as a CI artifact).
-RESULT_PATH = "BENCH_live.json"
+#: Tracked result file: the committed trajectory of these measurements.
+RESULT_PATH = Path(__file__).parent / "results" / "live.json"
 
 #: Deliberately loose floor: catches "the server serialized everything
 #: through one lock" class regressions, not scheduler noise.
@@ -55,23 +59,24 @@ MAX_TAIL_TO_WARM_RATIO = 4.0
 
 
 def merge_result(key: str, payload: dict) -> None:
-    """Merge one benchmark's result into ``BENCH_live.json``.
+    """Merge one benchmark's result into :data:`RESULT_PATH`.
 
-    Both tests in this module report into the same artifact; each owns a
+    Both tests in this module report into the same file; each owns a
     top-level key so whichever runs second doesn't clobber the first.
     """
     data: dict = {}
-    if os.path.exists(RESULT_PATH):
+    if RESULT_PATH.exists():
         try:
-            with open(RESULT_PATH, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
             data = {}
-    if "benchmark" in data:  # pre-merge flat layout from an older run
-        data = {str(data["benchmark"]): data}
-    data[key] = payload
-    with open(RESULT_PATH, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+    data[key] = {
+        **payload,
+        "scale": "full" if full_scale() else "reduced",
+        "host": host(),
+    }
+    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_live_serving_throughput_and_latency(benchmark):

@@ -36,9 +36,6 @@ configuration beats the default is recorded, not asserted.
 """
 
 import json
-import os
-import platform
-import sys
 import time
 from pathlib import Path
 
@@ -47,7 +44,6 @@ import numpy as np
 from repro.events.subset import SubsetIndex, subset_trace
 from repro.experiments import render_table
 from repro.inference import run_stem
-from repro.inference.native import native_capability
 from repro.network import build_tandem_network
 from repro.observation import TaskSampling
 from repro.online import ReplayTraceStream, StreamingEstimator
@@ -56,7 +52,7 @@ from repro.rng import spawn
 from repro.simulate import simulate_network
 from repro.webapp import WebAppConfig, generate_webapp_trace
 
-from conftest import full_scale
+from conftest import full_scale, host
 
 #: Tracked result file: the committed trajectory of these measurements.
 RESULT_PATH = Path(__file__).parent / "results" / "parallel.json"
@@ -205,18 +201,6 @@ def measure(w: dict, seed: int = 7) -> dict:
         "sharded_beats_default": any(
             configs[name]["median_s"] < default for name in CONFIGS[1:]
         ),
-    }
-
-
-def host() -> dict:
-    capability = native_capability()
-    return {
-        "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "machine": platform.machine(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "numba": capability["numba_version"] if capability["available"] else None,
     }
 
 

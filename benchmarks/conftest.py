@@ -9,8 +9,13 @@ for Figure 5).  Every benchmark prints a paper-vs-measured comparison.
 from __future__ import annotations
 
 import os
+import platform
+import sys
 
+import numpy as np
 import pytest
+
+from repro.inference.native import native_capability
 
 
 def pytest_addoption(parser):
@@ -35,6 +40,19 @@ def kernel_mode(request) -> str:
 def full_scale() -> bool:
     """Whether to run at the paper's full experimental scale."""
     return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false")
+
+
+def host() -> dict:
+    """The measuring host, recorded next to every tracked result."""
+    capability = native_capability()
+    return {
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "numba": capability["numba_version"] if capability["available"] else None,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="retention horizon in trace clock units: finished tasks older "
         "than watermark minus this (and out of reach of every future "
         "window) are folded into summary statistics and evicted, bounding "
-        "memory and checkpoint size (default: keep full history)",
+        "memory and checkpoint size; needs task ids that ascend in entry "
+        "order, otherwise every task is kept (default: keep full history)",
     )
     serve.add_argument("--checkpoint", default=None,
                        help="snapshot service state to this path")
@@ -416,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "ingestion backpressure")
     route.add_argument(
         "--retain", type=float, default=None,
-        help="per-service retention horizon in trace clock units "
+        help="per-service retention horizon in trace clock units; needs "
+        "task ids that ascend in entry order, otherwise every task is kept "
         "(default: keep full history)",
     )
     route.add_argument(

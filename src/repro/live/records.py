@@ -14,10 +14,14 @@ This module converts between records and :class:`~repro.observation.ObservedTrac
 * :func:`trace_to_records` flattens a censored trace into records — what a
   replay client (``repro ingest``) ships, and the reference for what a real
   reporting agent would emit;
-* :func:`assemble_trace` is the inverse: build an observed trace from the
-  records of a set of *complete* tasks, reconstructing inner departures from
-  the ``a_e = d_{pi(e)}`` identity and every queue's frozen order from the
-  counters.
+* :class:`IncrementalAssembler` is the inverse, and the live stream's one
+  store of finalized tasks: complete tasks' records become columns in
+  O(task) as they finalize (inner departures from the
+  ``a_e = d_{pi(e)}`` identity), and the trace is built from the columns
+  by sorting — rows by task id, each queue's frozen order by its event
+  counters — whatever order the task ids finalize in;
+* :func:`assemble_trace` is the same store used once, over a given set of
+  complete tasks.
 
 Round-trip contract (pinned by ``tests/live/test_records.py``): for any
 task subset of a task-id-major trace, ``assemble_trace(records)`` is
@@ -26,8 +30,6 @@ makes live window estimates bitwise comparable to the replay path.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -120,158 +122,88 @@ def record_times(record: dict) -> list[float]:
     return out
 
 
-def assemble_trace(
-    task_records: list[list[dict]], n_queues: int | None = None
-) -> ObservedTrace:
+def assemble_trace(task_records: list[list[dict]], n_queues: int) -> ObservedTrace:
     """Build an observed trace from the records of complete tasks.
+
+    A one-shot :class:`IncrementalAssembler`: every task is appended, then
+    the trace is built once.
 
     Parameters
     ----------
     task_records:
         One list of records per task, each covering the task's events
-        ``seq 0 .. k`` exactly (the stream's completeness gate guarantees
-        this).  Tasks are assembled in ascending task-id order and queue
-        orders are rebuilt from the counters, so the result is bitwise the
-        :func:`~repro.events.subset.subset_trace` restriction of the
-        originating task-id-major trace.
+        ``seq 0 .. k`` exactly, in any order (the stream's completeness
+        gate guarantees this).  Tasks may come in any order too; the
+        result is bitwise the :func:`~repro.events.subset.subset_trace`
+        restriction of the originating task-id-major trace.
     n_queues:
         Queue count of the monitored network (so a trace prefix that has
-        not yet visited the last queue still matches the full topology);
-        defaults to the highest queue index seen plus one.
+        not yet visited the last queue still matches the full topology).
     """
-    if not task_records:
-        raise IngestError("no complete tasks to assemble a trace from")
-    ordered = sorted(task_records, key=lambda recs: recs[0]["task"])
-    task_col: list[int] = []
-    seq_col: list[int] = []
-    queue_col: list[int] = []
-    state_col: list[int] = []
-    counter_col: list[int] = []
-    arrival_col: list[float] = []
-    departure_col: list[float] = []
-    arr_obs: list[bool] = []
-    dep_obs: list[bool] = []
-    for recs in ordered:
-        recs = sorted(recs, key=lambda r: r["seq"])
-        for i, r in enumerate(recs):
-            task_col.append(r["task"])
-            seq_col.append(r["seq"])
-            queue_col.append(r["queue"])
-            state_col.append(r["state"])
-            counter_col.append(r["counter"])
-            arrival_col.append(
-                0.0 if r["seq"] == 0
-                else (np.nan if r["arrival"] is None else r["arrival"])
-            )
-            arr_obs.append(r["seq"] == 0 or r["arrival"] is not None)
-            if i + 1 < len(recs):
-                # Inner departure: the a_e = d_{pi(e)} identity.
-                nxt = recs[i + 1]
-                departure_col.append(
-                    np.nan if nxt["arrival"] is None else nxt["arrival"]
-                )
-                dep_obs.append(False)
-            else:
-                departure_col.append(
-                    np.nan if r["departure"] is None else r["departure"]
-                )
-                dep_obs.append(r["departure"] is not None)
-    if n_queues is None:
-        n_queues = max(queue_col) + 1
-    elif n_queues <= max(queue_col):
-        raise IngestError(
-            f"records reference queue {max(queue_col)} but the stream was "
-            f"declared with n_queues={n_queues}"
-        )
-    counters = np.asarray(counter_col, dtype=np.int64)
-    queues = np.asarray(queue_col, dtype=np.int64)
-    queue_order = []
-    for q in range(n_queues):
-        members = np.flatnonzero(queues == q)
-        order = members[np.argsort(counters[members], kind="stable")]
-        if np.unique(counters[order]).size != order.size:
+    store = IncrementalAssembler(n_queues)
+    for recs in task_records:
+        top = max(r["queue"] for r in recs)
+        if top >= n_queues:
             raise IngestError(
-                f"conflicting event counters at queue {q}: two events claim "
-                "the same arrival position"
+                f"records reference queue {top} but the stream was "
+                f"declared with n_queues={n_queues}"
             )
-        queue_order.append(order.astype(np.int64))
-    skeleton = EventSet(
-        task=np.asarray(task_col, dtype=np.int64),
-        seq=np.asarray(seq_col, dtype=np.int64),
-        queue=queues,
-        arrival=np.asarray(arrival_col, dtype=float),
-        departure=np.asarray(departure_col, dtype=float),
-        n_queues=n_queues,
-        state=np.asarray(state_col, dtype=np.int64),
-        queue_order=queue_order,
-    )
-    return ObservedTrace(
-        skeleton=skeleton,
-        arrival_observed=np.asarray(arr_obs, dtype=bool),
-        departure_observed=np.asarray(dep_obs, dtype=bool),
-    )
+        store.append(sorted(recs, key=lambda r: r["seq"]))
+    return store.build()[0]
 
 
 class IncrementalAssembler:
-    """Append-in-place trace assembly: O(task) per finalized task.
+    """The columnar store of finalized tasks, and the trace built from it.
 
-    :func:`assemble_trace` re-walks every record of every task on each
-    call — O(total history) per trace access, which is exactly the
-    degradation an always-on stream cannot afford.  This class keeps the
-    assembled *columns* (task/seq/queue/state, times, observation masks)
-    in growable buffers and each queue's frozen order as a counter-sorted
-    splice list, so finalizing one task appends its rows and bisects its
-    events into the queue orders — no revisiting of history.  Building
-    the :class:`~repro.observation.ObservedTrace` (plus its
-    :class:`~repro.events.subset.SubsetIndex`) from the columns is cached
-    per version, so a window access after *k* appends costs one
-    O(retained) array materialization, never a Python re-walk.
+    Appending a complete task writes its rows — task, seq, queue, state,
+    event counter, times and observation masks — in finalize order, in
+    O(task) and without revisiting history; inner departures come from
+    the ``a_e = d_{pi(e)}`` identity.  :meth:`build` turns the rows into
+    an :class:`~repro.observation.ObservedTrace` (plus its
+    :class:`~repro.events.subset.SubsetIndex`) with two stable sorts: by
+    task id for the task-id-major row layout, then by (queue, counter)
+    for every queue's frozen order.  The build is cached per
+    :attr:`version`, so window accesses between appends are free.
 
     Equality contract (pinned by the conformance suite's equivalence
-    oracle): the built trace is **bitwise identical** to
-    ``assemble_trace(task_records)`` over the same tasks.  The fast path
-    requires task ids to arrive in ascending order — true whenever entry
-    counters are monotone in task id, i.e. for every recorded or
-    honestly instrumented source.  :meth:`append` refuses an
-    out-of-order id (returns ``False``, mutating nothing) and the caller
-    falls back to the sort-based rebuild.
+    oracle): the built trace is **bitwise** the
+    :func:`~repro.events.subset.subset_trace` restriction of the
+    originating task-id-major trace to the tasks held, whatever order
+    their ids finalize in.
 
-    :meth:`evict` drops the oldest tasks' rows (prefix compaction):
-    buffers shift once per call, per-queue splice lists are filtered, and
-    the retained columns stay bitwise what ``assemble_trace`` over the
-    retained records would produce.
+    :attr:`ascending` says whether every appended task id exceeded all
+    earlier ones — true whenever entry counters are monotone in task id,
+    i.e. for every recorded or honestly instrumented source.  Only then
+    are the oldest-finalized tasks, which :meth:`evict` drops, also the
+    lowest ids, and so the built rows' prefix.
     """
 
     _MIN_CAPACITY = 1024
-    _COLUMNS = (
-        "_task", "_seq", "_queue", "_state",
-        "_arrival", "_departure", "_arr_obs", "_dep_obs",
-    )
+    #: One buffer per column, keyed as in :meth:`snapshot_state`.
+    _DTYPES = {
+        "task": np.int64, "seq": np.int64, "queue": np.int64,
+        "state": np.int64, "counter": np.int64, "arrival": float,
+        "departure": float, "arr_obs": bool, "dep_obs": bool,
+    }
 
     def __init__(self, n_queues: int) -> None:
         if n_queues < 2:
             raise IngestError("n_queues must include queue 0 plus real queues")
         self.n_queues = int(n_queues)
         self._n = 0
-        self._task_sizes: list[int] = []  # events per task, append order
-        self._last_task: int | None = None
-        cap = self._MIN_CAPACITY
-        self._task = np.empty(cap, dtype=np.int64)
-        self._seq = np.empty(cap, dtype=np.int64)
-        self._queue = np.empty(cap, dtype=np.int64)
-        self._state = np.empty(cap, dtype=np.int64)
-        self._arrival = np.empty(cap, dtype=float)
-        self._departure = np.empty(cap, dtype=float)
-        self._arr_obs = np.empty(cap, dtype=bool)
-        self._dep_obs = np.empty(cap, dtype=bool)
-        # Per-queue frozen order as parallel (sorted counters, row ids).
-        self._q_counters: list[list[int]] = [[] for _ in range(self.n_queues)]
-        self._q_rows: list[list[int]] = [[] for _ in range(self.n_queues)]
+        self._task_sizes: list[int] = []  # events per task, finalize order
+        self._cols = {
+            name: np.empty(self._MIN_CAPACITY, dtype=dtype)
+            for name, dtype in self._DTYPES.items()
+        }
+        # Per queue, the counters its held rows claim (the conflict check).
+        self._claimed: list[set[int]] = [set() for _ in range(self.n_queues)]
+        self._max_task: int | None = None
+        self.ascending = True
         #: Bumped on every append/evict; the build cache keys on it.
         self.version = 0
         self._built_version = -1
-        self._trace: ObservedTrace | None = None
-        self._index: SubsetIndex | None = None
+        self._built: tuple[ObservedTrace, SubsetIndex] | None = None
 
     @property
     def n_events(self) -> int:
@@ -283,103 +215,79 @@ class IncrementalAssembler:
         """Tasks currently held."""
         return len(self._task_sizes)
 
-    def _reserve(self, extra: int) -> None:
-        need = self._n + extra
-        if need <= self._task.size:
-            return
-        cap = max(need, 2 * self._task.size)
-        for name in self._COLUMNS:
-            old = getattr(self, name)
+    @property
+    def task_ids(self) -> np.ndarray:
+        """Ids of the tasks held, ascending."""
+        return np.unique(self._cols["task"][: self._n])
+
+    def _move(self, start: int, cap: int) -> None:
+        """Move rows ``start:`` to the front of fresh *cap*-row buffers."""
+        for name, old in self._cols.items():
             buf = np.empty(cap, dtype=old.dtype)
-            buf[: self._n] = old[: self._n]
-            setattr(self, name, buf)
+            buf[: self._n - start] = old[start: self._n]
+            self._cols[name] = buf
+        self._n -= start
 
-    def append(self, records: list[dict]) -> bool:
+    def append(self, records: list[dict]) -> None:
         """Append one complete task's seq-ordered records; O(task).
-
-        Returns ``False`` — leaving the assembler untouched — when the
-        task id does not exceed every id already appended: the columns
-        are kept in ascending task-id order by construction (what makes
-        them bitwise :func:`assemble_trace`'s sorted output), so an
-        out-of-order id means the caller must fall back to the sort-based
-        rebuild path.
 
         Raises
         ------
         IngestError
-            If two events claim the same counter at one queue (same
-            corrupt-counter condition :func:`assemble_trace` rejects).
-            Checked before any mutation, so a raise leaves the assembler
-            consistent.
+            If two events claim the same counter at one queue.  Checked
+            before any mutation, so a raise leaves the store consistent.
         """
-        task = int(records[0]["task"])
-        if self._last_task is not None and task <= self._last_task:
-            return False
-        k = len(records)
-        # Validate the counter splices first: nothing is mutated unless
-        # the whole task can go in.
         fresh: set[tuple[int, int]] = set()
         for r in records:
-            q = int(r["queue"])
-            c = int(r["counter"])
-            counters = self._q_counters[q]
-            pos = bisect.bisect_left(counters, c)
-            if (pos < len(counters) and counters[pos] == c) or (q, c) in fresh:
+            q, c = int(r["queue"]), int(r["counter"])
+            if c in self._claimed[q] or (q, c) in fresh:
                 raise IngestError(
                     f"conflicting event counters at queue {q}: two events "
                     "claim the same arrival position"
                 )
             fresh.add((q, c))
-        self._reserve(k)
-        base = self._n
+        task, k = int(records[0]["task"]), len(records)
+        size = self._cols["task"].size
+        if self._n + k > size:
+            self._move(0, max(self._n + k, 2 * size))
+        # Scalar writes: a task is a handful of rows, too few for slice
+        # assignment from lists to pay off.
+        cols = self._cols
         for i, r in enumerate(records):
-            row = base + i
-            self._task[row] = task
-            self._seq[row] = r["seq"]
-            self._queue[row] = r["queue"]
-            self._state[row] = r["state"]
-            if r["seq"] == 0:
-                self._arrival[row] = 0.0
-                self._arr_obs[row] = True
-            elif r["arrival"] is None:
-                self._arrival[row] = np.nan
-                self._arr_obs[row] = False
-            else:
-                self._arrival[row] = r["arrival"]
-                self._arr_obs[row] = True
-            if i + 1 < k:
-                # Inner departure: the a_e = d_{pi(e)} identity.
-                nxt = records[i + 1]
-                self._departure[row] = (
-                    np.nan if nxt["arrival"] is None else nxt["arrival"]
-                )
-                self._dep_obs[row] = False
-            else:
-                self._departure[row] = (
-                    np.nan if r["departure"] is None else r["departure"]
-                )
-                self._dep_obs[row] = r["departure"] is not None
-            q = int(r["queue"])
-            c = int(r["counter"])
-            pos = bisect.bisect_left(self._q_counters[q], c)
-            self._q_counters[q].insert(pos, c)
-            self._q_rows[q].insert(pos, row)
+            row = self._n + i
+            cols["task"][row] = task
+            cols["seq"][row] = r["seq"]
+            cols["queue"][row] = r["queue"]
+            cols["state"][row] = r["state"]
+            cols["counter"][row] = r["counter"]
+            # The seq-0 convention: the entry event arrives at 0.0, measured.
+            arrival = 0.0 if i == 0 else r["arrival"]
+            cols["arrival"][row] = np.nan if arrival is None else arrival
+            cols["arr_obs"][row] = arrival is not None
+            # Inner departures: the a_e = d_{pi(e)} identity.
+            departure = records[i + 1]["arrival"] if i + 1 < k else r["departure"]
+            cols["departure"][row] = np.nan if departure is None else departure
+            cols["dep_obs"][row] = i + 1 == k and departure is not None
+        for q, c in fresh:
+            self._claimed[q].add(c)
         self._n += k
         self._task_sizes.append(k)
-        self._last_task = task
+        if self._max_task is not None and task <= self._max_task:
+            self.ascending = False
+        else:
+            self._max_task = task
         self.version += 1
-        return True
 
     def prefix_events(self, n_tasks: int) -> int:
-        """Rows occupied by the oldest *n_tasks* tasks."""
+        """Rows occupied by the oldest-finalized *n_tasks* tasks."""
         return sum(self._task_sizes[:n_tasks])
 
     def evict(self, n_tasks: int) -> int:
-        """Drop the oldest *n_tasks* tasks' rows; returns rows removed.
+        """Drop the oldest-finalized *n_tasks* tasks; returns rows removed.
 
-        The oldest tasks occupy the column prefix (ids ascend), so
-        eviction is one buffer shift plus a filter of each queue's splice
-        lists — O(retained), paid once per compaction, not per access.
+        They occupy the rows' prefix, so eviction is one buffer shift plus
+        releasing their counter claims — O(retained), paid once per
+        compaction, not per access.
         """
         if n_tasks <= 0:
             return 0
@@ -389,58 +297,92 @@ class IncrementalAssembler:
                 f"{len(self._task_sizes)} are held"
             )
         m = self.prefix_events(n_tasks)
-        keep = self._n - m
-        for name in self._COLUMNS:
-            old = getattr(self, name)
-            buf = np.empty(max(keep, self._MIN_CAPACITY), dtype=old.dtype)
-            buf[:keep] = old[m: self._n]
-            setattr(self, name, buf)
-        self._n = keep
-        del self._task_sizes[:n_tasks]
+        queues, counters = self._cols["queue"][:m], self._cols["counter"][:m]
         for q in range(self.n_queues):
-            pairs = [
-                (c, r - m)
-                for c, r in zip(self._q_counters[q], self._q_rows[q])
-                if r >= m
-            ]
-            self._q_counters[q] = [c for c, _ in pairs]
-            self._q_rows[q] = [r for _, r in pairs]
+            self._claimed[q].difference_update(counters[queues == q].tolist())
+        self._move(m, max(self._n - m, self._MIN_CAPACITY))
+        del self._task_sizes[:n_tasks]
         self.version += 1
-        self._trace = None
-        self._index = None
         return m
 
     def build(self) -> tuple[ObservedTrace, SubsetIndex]:
-        """The trace (plus its subset index) over the retained columns.
+        """The trace (plus its subset index) over the held rows.
 
         Cached per :attr:`version`; repeated window accesses between
-        appends are free.  Buffer prefixes are handed to the
-        :class:`~repro.events.EventSet` as views — safe because rows
-        below the current length are never rewritten (growth reallocates,
-        eviction rebuilds) — while times and masks are copied by the
-        constructors, so inference can never corrupt the columns.
+        appends are free.  The trace owns copies of the columns, so
+        inference can never corrupt the store.
         """
         if self._n == 0:
             raise IngestError("no complete tasks to assemble a trace from")
-        if self._built_version != self.version or self._trace is None:
-            n = self._n
+        if self._built_version != self.version:
+            # Stable sorts: a task's rows keep their seq order, and the
+            # counters one queue's rows claim are unique.
+            rows = np.argsort(self._cols["task"][: self._n], kind="stable")
+            col = {name: buf[rows] for name, buf in self._cols.items()}
+            by_queue = np.lexsort((col["counter"], col["queue"]))
+            bounds = np.searchsorted(
+                col["queue"][by_queue], np.arange(self.n_queues + 1)
+            )
             skeleton = EventSet(
-                task=self._task[:n],
-                seq=self._seq[:n],
-                queue=self._queue[:n],
-                arrival=self._arrival[:n],
-                departure=self._departure[:n],
+                task=col["task"],
+                seq=col["seq"],
+                queue=col["queue"],
+                arrival=col["arrival"],
+                departure=col["departure"],
                 n_queues=self.n_queues,
-                state=self._state[:n],
+                state=col["state"],
                 queue_order=[
-                    np.asarray(rows, dtype=np.int64) for rows in self._q_rows
+                    by_queue[bounds[q]: bounds[q + 1]]
+                    for q in range(self.n_queues)
                 ],
             )
-            self._trace = ObservedTrace(
+            trace = ObservedTrace(
                 skeleton=skeleton,
-                arrival_observed=self._arr_obs[:n],
-                departure_observed=self._dep_obs[:n],
+                arrival_observed=col["arr_obs"],
+                departure_observed=col["dep_obs"],
             )
-            self._index = SubsetIndex(skeleton)
+            self._built = (trace, SubsetIndex(skeleton))
             self._built_version = self.version
-        return self._trace, self._index
+        return self._built
+
+    def snapshot_state(self) -> dict:
+        """The held rows as plain arrays (what a stream snapshot carries)."""
+        state = {name: buf[: self._n].copy() for name, buf in self._cols.items()}
+        state["task_sizes"] = list(self._task_sizes)
+        state["max_task"] = self._max_task
+        state["ascending"] = self.ascending
+        return state
+
+    @classmethod
+    def from_state(cls, n_queues: int, state: dict) -> "IncrementalAssembler":
+        """Rebuild a store from :meth:`snapshot_state` output.
+
+        Raises
+        ------
+        IngestError
+            ``corrupt snapshot`` when the task sizes do not cover the
+            columns or two rows claim one (queue, counter).
+        """
+        store = cls(n_queues)
+        cols = {
+            name: np.array(state[name], dtype=dtype)
+            for name, dtype in cls._DTYPES.items()
+        }
+        sizes = [int(k) for k in state["task_sizes"]]
+        n = sum(sizes)
+        if min(sizes, default=1) < 1 or any(c.shape != (n,) for c in cols.values()):
+            raise IngestError(
+                "corrupt snapshot: the task sizes do not cover the columns"
+            )
+        for q in range(store.n_queues):
+            claimed = cols["counter"][cols["queue"] == q].tolist()
+            store._claimed[q] = set(claimed)
+            if len(store._claimed[q]) != len(claimed):
+                raise IngestError(
+                    "corrupt snapshot: two rows claim one (queue, counter) "
+                    f"at queue {q}"
+                )
+        store._cols, store._n, store._task_sizes = cols, n, sizes
+        store._max_task = state["max_task"]
+        store.ascending = bool(state["ascending"])
+        return store

@@ -17,17 +17,17 @@ a window processed live is **bitwise** the window the replay path would
 have produced — the acceptance contract of ``tests/live/test_service.py``.
 
 Checkpoint/restore: after every ``checkpoint_every`` published windows
-the service snapshots (atomically, via rename) the stream's record log,
-the estimator's seed/bookkeeping state, and the published estimates.
-:meth:`EstimatorService.from_checkpoint` rebuilds all three; the restored
-service re-reveals from the record log, keeps every pre-crash estimate,
+the service snapshots (atomically, via rename) the stream's state (its
+assembled columns included), the estimator's seed/bookkeeping state, and
+the published estimates.  :meth:`EstimatorService.from_checkpoint`
+rebuilds all three; the restored service keeps every pre-crash estimate,
 and processes the remaining windows bitwise as the uninterrupted run
 would have — an ingestion client only needs to replay the tail recorded
 after the snapshot (duplicates are ignored by the stream).  Snapshot
 *capture* happens under the window lock but serialization and disk I/O
 run on a background writer, so a slow checkpoint never blocks window
 publishing; with a stream retention horizon (``LiveTraceStream(retain=
-...)``) the record log in the snapshot is the retained tail only, so
+...)``) the columns in the snapshot hold the retained tail only, so
 checkpoint size is bounded by the horizon, not stream age.
 """
 

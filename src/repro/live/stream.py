@@ -28,19 +28,21 @@ unassembled; ingestion beyond that raises
 :class:`~repro.errors.IngestError` so a fast producer blocks/retries
 instead of growing the buffer without bound.
 
-**Incremental assembly + prefix compaction.**  The assembled trace is
-maintained by an :class:`~repro.live.records.IncrementalAssembler`:
-finalizing a task appends its columns and splices its events into the
-per-queue orders in O(task), and a window access materializes the trace
-from the retained columns — never a Python re-walk of history.  With a
-``retain`` horizon set, :meth:`compact` folds tasks that are polled and
-older than every reachable window into a :class:`CompactionSummary`
-(per-queue event counts and service-time sufficient statistics) and
-evicts their records, so RSS, per-window trace cost, and the checkpoint
-record log are all bounded by the retention horizon instead of growing
-with stream age.  Re-delivered records of compacted tasks count as
-duplicates (task ids are monotone on the compaction path), so
-at-least-once clients stay safe.
+**One columnar store + prefix compaction.**  Finalized tasks live in
+one place, an :class:`~repro.live.records.IncrementalAssembler`:
+finalizing a task appends its columns in O(task), and a window access
+builds the trace from the retained columns with two sorts (rows by task
+id, each queue's frozen order by event counter), cached until the store
+changes — never a Python re-walk of history, and the same path whatever
+order task ids finalize in.  With a ``retain`` horizon set,
+:meth:`compact` folds tasks that are polled and older than every
+reachable window into a :class:`CompactionSummary` (per-queue event
+counts and service-time sufficient statistics) and evicts their rows, so
+RSS, per-window trace cost, and the checkpointed columns are all bounded
+by the retention horizon instead of growing with stream age.
+Re-delivered records of compacted tasks count as duplicates, which is
+sound because compaction runs only while task ids ascend in entry order;
+a source whose ids do not keeps every task.
 
 Equivalence contract (pinned by ``tests/live/test_stream.py`` and the
 acceptance suite): ingesting a recorded task-id-major trace in order,
@@ -76,7 +78,7 @@ from repro import telemetry
 from repro.errors import IngestError, InvalidEventSetError
 from repro.events.serialization import validate_measurement_record
 from repro.events.subset import SubsetIndex, subset_trace
-from repro.live.records import IncrementalAssembler, assemble_trace, record_times
+from repro.live.records import IncrementalAssembler, record_times
 from repro.observation import ObservedTrace
 from repro.online.streaming import TraceStream
 
@@ -172,13 +174,15 @@ class LiveTraceStream(TraceStream):
         Bound on buffered (not yet assembled) records — the backpressure
         threshold.
     retain:
-        History retention horizon: how far behind the watermark task
-        records are kept once polled.  ``None`` (default) keeps
+        History retention horizon: how far behind the watermark
+        finalized tasks are kept once polled.  ``None`` (default) keeps
         everything — the sealed-batch behavior.  With a value set,
         :meth:`compact` folds tasks whose entry is older than both
         ``watermark - retain`` and the caller's reachability bound into
-        a :class:`CompactionSummary` and evicts their records, bounding
-        memory and checkpoint size for an always-on stream.
+        a :class:`CompactionSummary` and evicts their rows, bounding
+        memory and checkpoint size for an always-on stream.  Compaction
+        needs task ids that ascend in entry order; once an id finalizes
+        below an earlier one, every task is kept from then on.
     """
 
     #: Every count the stream reports, named once (see
@@ -229,24 +233,14 @@ class LiveTraceStream(TraceStream):
         self._slot_task: dict[int, int] = {}
         self._resolved: dict[int, str] = {}
         self._next_slot = 0
-        self._final_records: dict[int, list[dict]] = {}  # in finalize order
-        self._final_slots: dict[int, int] = {}  # finalized task -> entry slot
+        self._final_slots: dict[int, int] = {}  # retained task -> entry slot
         self._dropped_tasks: set[int] = set()
         # Watermark state.
         self._watermark = -np.inf
         self._sealed = False
-        # The incremental assembler holds the finalized prefix as
-        # append-in-place columns; building the trace from them is cached
-        # per version inside it.  It is replaced by ``None`` — falling
-        # back to the sort-based `assemble_trace` rebuild forever — the
-        # first time task ids finalize out of ascending order (a source
-        # whose entry counters are not monotone in task id).
-        self._assembler: IncrementalAssembler | None = IncrementalAssembler(
-            self.n_queues
-        )
-        self._trace: ObservedTrace | None = None
-        self._trace_n_tasks = 0
-        self._index: SubsetIndex | None = None
+        # The one store of finalized (retained) tasks: their assembled
+        # columns, from which the trace is built and cached per version.
+        self._assembler = IncrementalAssembler(self.n_queues)
         # Compaction state: reveal positions folded away so far (one per
         # evicted task), the highest evicted task id (the duplicate
         # cutoff for re-deliveries), the entry slots swept, and the
@@ -325,12 +319,23 @@ class LiveTraceStream(TraceStream):
         with self._lock:
             if self._sealed:
                 raise IngestError("the stream is sealed; no more records")
+            # Validate the whole batch first: a malformed record admits
+            # nothing, so the caller's record count stays exact.
+            batch = []
+            for i, raw in enumerate(records):
+                try:
+                    record = validate_measurement_record(raw)
+                except InvalidEventSetError as exc:
+                    raise IngestError(f"record {i}: {exc}") from None
+                if record["queue"] >= self.n_queues:
+                    raise IngestError(
+                        f"record {i} (task {record['task']}) references "
+                        f"queue {record['queue']} but the stream serves "
+                        f"n_queues={self.n_queues}"
+                    )
+                batch.append(record)
             try:
-                for raw in records:
-                    try:
-                        record = validate_measurement_record(raw)
-                    except InvalidEventSetError as exc:
-                        raise IngestError(str(exc)) from None
+                for record in batch:
                     self._admit(record, summary)
             finally:
                 # Assemble even when the batch aborted mid-way (e.g. on
@@ -351,11 +356,6 @@ class LiveTraceStream(TraceStream):
 
     def _admit(self, record: dict, summary: dict) -> None:
         task = record["task"]
-        if record["queue"] >= self.n_queues:
-            raise IngestError(
-                f"record for task {task} references queue {record['queue']} "
-                f"but the stream serves n_queues={self.n_queues}"
-            )
         if task in self._dropped_tasks:
             summary["stragglers"] += 1
             self.n_stragglers += 1
@@ -366,7 +366,7 @@ class LiveTraceStream(TraceStream):
                 if self._resolved.setdefault(record["counter"], "dropped") == "dropped":
                     summary["resolved_slots"] = summary.get("resolved_slots", 0) + 1
             return
-        if task in self._final_records or (
+        if task in self._final_slots or (
             task in self._buffer and record["seq"] in self._buffer[task]
         ):
             summary["duplicates"] += 1
@@ -596,46 +596,20 @@ class LiveTraceStream(TraceStream):
             self._n_buffered -= len(records)
             self._expected.pop(task)
             ordered = [records[s] for s in sorted(records)]
-            self._final_records[task] = ordered
             self._final_slots[task] = slot
             self._resolved[slot] = "final"
             self._next_slot += 1
-            if self._assembler is not None and not self._assembler.append(
-                ordered
-            ):
-                # Task ids finalized out of ascending order: permanent
-                # fallback to the sort-based rebuild (and no compaction —
-                # the duplicate cutoff below the high-water mark needs
-                # monotone ids).
-                self._assembler = None
+            self._assembler.append(ordered)
             self._append_reveal_columns(task, ordered)
-            self._trace = None  # prefix grew; (re)build lazily on access
 
-    def _assembled(self) -> ObservedTrace | None:
-        """The trace over the finalized (retained) prefix.
-
-        Fast path: the :class:`~repro.live.records.IncrementalAssembler`
-        already holds the columns — finalizing a task appended them in
-        O(task) — so this is a cached O(retained) array materialization,
-        bitwise equal to the rebuild below (the conformance suite's
-        equivalence oracle pins it).  Fallback (non-monotone task ids
-        only): the original sort-based `assemble_trace` re-walk, rebuilt
-        at most once per prefix growth.
-        """
-        if self._assembler is not None:
-            if self._assembler.n_events == 0:
-                return None
-            self._trace, self._index = self._assembler.build()
-            return self._trace
-        if not self._final_records:
-            return None
-        if self._trace is None or self._trace_n_tasks != len(self._final_records):
-            self._trace = assemble_trace(
-                list(self._final_records.values()), n_queues=self.n_queues
+    def _built(self) -> tuple[ObservedTrace, SubsetIndex]:
+        """The trace (and its subset index) over the retained tasks."""
+        if self._assembler.n_events == 0:
+            raise IngestError(
+                "no task has been fully ingested yet; the stream has no "
+                "trace to expose"
             )
-            self._trace_n_tasks = len(self._final_records)
-            self._index = SubsetIndex(self._trace.skeleton)
-        return self._trace
+        return self._assembler.build()
 
     def _append_reveal_columns(self, task: int, ordered: list[dict]) -> None:
         """Extend the entry-order reveal columns for one finalized task.
@@ -695,13 +669,7 @@ class LiveTraceStream(TraceStream):
     @property
     def trace(self) -> ObservedTrace:
         with self._lock:
-            trace = self._assembled()
-            if trace is None:
-                raise IngestError(
-                    "no task has been fully ingested yet; the stream has "
-                    "no trace to expose"
-                )
-            return trace
+            return self._built()[0]
 
     @property
     def horizon(self) -> float:
@@ -728,14 +696,12 @@ class LiveTraceStream(TraceStream):
 
     def subset(self, task_ids) -> ObservedTrace:
         with self._lock:
-            trace = self._assembled()
-            if trace is None:
-                raise IngestError("no task has been fully ingested yet")
+            trace, index = self._built()
             if self._compacted_hwm is not None:
                 gone = sorted(
                     t
                     for t in {int(t) for t in task_ids}
-                    if t <= self._compacted_hwm and t not in self._final_records
+                    if t <= self._compacted_hwm and t not in self._final_slots
                 )
                 if gone:
                     raise IngestError(
@@ -743,7 +709,7 @@ class LiveTraceStream(TraceStream):
                         f"horizon (retain={self.retain}); windows may only "
                         "subset tasks inside the retained tail"
                     )
-            return subset_trace(trace, task_ids, index=self._index)
+            return subset_trace(trace, task_ids, index=index)
 
     def exhausted(self) -> bool:
         with self._lock:
@@ -764,9 +730,9 @@ class LiveTraceStream(TraceStream):
 
     @property
     def n_retained_tasks(self) -> int:
-        """Finalized tasks whose records are still held."""
+        """Finalized tasks whose columns are still held."""
         with self._lock:
-            return len(self._final_records)
+            return self._assembler.n_tasks
 
     @property
     def compaction(self) -> CompactionSummary | None:
@@ -783,19 +749,19 @@ class LiveTraceStream(TraceStream):
         window start) — older than *before* too.  Evictable tasks form a
         prefix of the finalize order; their per-queue event counts and
         measured service-time moments are folded into
-        :attr:`compaction`, their records leave ``_final_records`` (and
-        therefore every future checkpoint), and their rows leave the
-        incremental assembler.  The newest finalized task is always
-        retained so the stream keeps a valid trace.
+        :attr:`compaction`, and their rows leave the assembled columns
+        (and therefore every future checkpoint).  The newest finalized
+        task is always retained so the stream keeps a valid trace.
 
-        No-op without a ``retain`` horizon, and on the non-monotone
-        fallback path (where the re-delivery cutoff would be unsound).
+        No-op without a ``retain`` horizon, and once task ids have
+        finalized out of ascending order (the re-delivery cutoff, a task
+        id high-water mark, would be unsound; every task is kept).
         Returns ``{"compacted_tasks": k, "compacted_events": m}`` for
         this call.
         """
         with self._lock:
             out = {"compacted_tasks": 0, "compacted_events": 0}
-            if self.retain is None or self._assembler is None:
+            if self.retain is None or not self._assembler.ascending:
                 return out
             limit = self._watermark - self.retain
             if before is not None:
@@ -812,15 +778,13 @@ class LiveTraceStream(TraceStream):
             k = p - self._compacted_upto
             if k == 0:
                 return out
-            trace = self._assembled()
             m = self._assembler.prefix_events(k)
-            self._fold_summary(trace, k, m, p)
+            self._fold_summary(self._built()[0], k, m, p)
             evicted = [
                 self._reveal_tasks[pos - self._reveal_offset]
                 for pos in range(self._compacted_upto, p)
             ]
             for task in evicted:
-                del self._final_records[task]
                 slot = self._final_slots.pop(task)
                 self._slot_task.pop(slot, None)
                 self._resolved.pop(slot, None)
@@ -838,8 +802,6 @@ class LiveTraceStream(TraceStream):
             hwm = self._compacted_hwm
             self._dropped_tasks = {t for t in self._dropped_tasks if t > hwm}
             self._assembler.evict(k)
-            self._trace = None
-            self._index = None
             self._compacted_upto = p
             self.n_compacted_events += m
             # Trim the ready list to the folded prefix (poll never
@@ -904,15 +866,10 @@ class LiveTraceStream(TraceStream):
         history this PR's compaction exists to cut.
         """
         with self._lock:
-            retained_events = (
-                self._assembler.n_events
-                if self._assembler is not None
-                else sum(len(v) for v in self._final_records.values())
-            )
             return {
                 "buffered_records": self._n_buffered,
-                "retained_tasks": len(self._final_records),
-                "retained_events": retained_events,
+                "retained_tasks": self._assembler.n_tasks,
+                "retained_events": self._assembler.n_events,
                 "reveal_positions": len(self._reveal_tasks),
                 "ready_entries": len(self._ready),
                 "slot_entries": len(self._slot_task),
@@ -929,17 +886,18 @@ class LiveTraceStream(TraceStream):
     def snapshot_state(self) -> dict:
         """Everything needed to rebuild this stream after a restart.
 
-        Plain picklable containers only.  The assembled trace itself is
-        *not* stored — :meth:`from_state` reassembles it from the record
-        log deterministically, which is what makes restored window
-        estimates bitwise identical.  With compaction the record log
-        holds only the retained tail (the compacted prefix ships as its
-        summary plus the trimmed reveal columns), so the snapshot is
-        bounded by the retention horizon instead of stream age.
+        Plain picklable containers and arrays only.  The snapshot
+        carries the assembled columns, and the trace built from them is
+        the same deterministic function of the columns after a restore,
+        which is what makes restored window estimates bitwise identical.
+        With compaction the columns hold only the retained tail (the
+        compacted prefix ships as its summary plus the trimmed reveal
+        columns), so the snapshot is bounded by the retention horizon
+        instead of stream age.
         """
         with self._lock:
             return {
-                "version": 2,
+                "version": 3,
                 "n_queues": self.n_queues,
                 "lateness": self.lateness,
                 "max_pending": self.max_pending,
@@ -951,9 +909,7 @@ class LiveTraceStream(TraceStream):
                 "slot_task": dict(self._slot_task),
                 "resolved": dict(self._resolved),
                 "next_slot": self._next_slot,
-                "final_records": {
-                    t: list(v) for t, v in self._final_records.items()
-                },
+                "columns": self._assembler.snapshot_state(),
                 "dropped_tasks": sorted(self._dropped_tasks),
                 "n_polled": self._cursor,
                 "reveal_offset": self._reveal_offset,
@@ -983,15 +939,14 @@ class LiveTraceStream(TraceStream):
     def from_state(cls, state: dict) -> "LiveTraceStream":
         """Rebuild a stream from :meth:`snapshot_state` output.
 
-        The retained record log replays through the incremental assembler
-        (falling back to the sort-based path exactly when the original
-        did), reveal state is restored verbatim, and the poll cursor
-        returns to where the snapshot left it — so the next :meth:`poll`
-        hands the estimator exactly the tasks it had not yet consumed.
-        Only the current snapshot version (2) is accepted.
+        The assembled columns and reveal state are restored verbatim,
+        and the poll cursor returns to where the snapshot left it — so
+        the next :meth:`poll` hands the estimator exactly the tasks it
+        had not yet consumed.  Only the current snapshot version (3) is
+        accepted.
         """
         version = state.get("version")
-        if version != 2:
+        if version != 3:
             raise IngestError(
                 f"unrecognized stream snapshot version: {version!r}"
             )
@@ -1021,19 +976,12 @@ class LiveTraceStream(TraceStream):
         stream._slot_task = {int(s): int(t) for s, t in state["slot_task"].items()}
         stream._resolved = {int(s): v for s, v in state["resolved"].items()}
         stream._next_slot = int(state["next_slot"])
-        stream._final_records = {
-            int(t): list(v) for t, v in state["final_records"].items()
-        }
+        stream._assembler = IncrementalAssembler.from_state(
+            stream.n_queues, state["columns"]
+        )
         stream._dropped_tasks = set(state["dropped_tasks"])
         for name, value in state["counters"].items():
             setattr(stream, name, int(value))
-        # Replay the retained record log through the incremental
-        # assembler (insertion order *is* the finalize order).
-        for task, ordered in stream._final_records.items():
-            if stream._assembler is not None and not stream._assembler.append(
-                ordered
-            ):
-                stream._assembler = None
         stream._final_slots = {
             task: slot
             for slot, task in stream._slot_task.items()
@@ -1056,22 +1004,20 @@ class LiveTraceStream(TraceStream):
         if summary is not None:
             stream._summary = CompactionSummary.from_dict(summary)
         # Integrity: every retained (non-compacted) reveal position must
-        # be backed by its task's records.
+        # be backed by its task's rows.
         start = stream._compacted_upto - stream._reveal_offset
-        if any(
-            t not in stream._final_records
-            for t in stream._reveal_tasks[start:]
-        ):
+        retained = np.asarray(stream._reveal_tasks[start:], dtype=np.int64)
+        if not np.isin(retained, stream._assembler.task_ids).all():
             raise IngestError(
-                "corrupt snapshot: revealed tasks are missing from the "
-                "record log"
+                "corrupt snapshot: revealed tasks have no rows in the "
+                "assembled columns"
             )
         stream._advance_reveal()
         if n_polled > stream._ready_offset + len(stream._ready):
             raise IngestError(
                 f"corrupt snapshot: {n_polled} tasks were polled but only "
                 f"{stream._ready_offset + len(stream._ready)} are revealable "
-                "from the record log"
+                "from the snapshot"
             )
         stream._cursor = n_polled
         return stream

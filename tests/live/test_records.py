@@ -10,6 +10,7 @@ from repro.events.serialization import (
 )
 from repro.events.subset import subset_trace
 from repro.live.records import (
+    IncrementalAssembler,
     assemble_trace,
     record_times,
     replay_batches,
@@ -136,3 +137,31 @@ class TestRoundTrip:
             for record in batch:
                 for t in record_times(record):
                     assert t >= watermark
+
+
+class TestIncrementalAssembler:
+    def test_ids_order_flag_and_eviction(self, trace):
+        """The store keeps rows in finalize order: ``ascending`` tracks
+        whether ids rose, eviction drops the oldest-finalized tasks and
+        releases their counter claims, and the build stays task-id-major."""
+        by_task = group_by_task(trace_to_records(trace))
+        tasks = sorted(by_task)[:6]
+        store = IncrementalAssembler(trace.skeleton.n_queues)
+        for t in tasks[:4]:
+            store.append(by_task[t])
+        assert store.ascending
+        store.append(by_task[tasks[5]])
+        store.append(by_task[tasks[4]])  # an id below one already held
+        assert not store.ascending
+        assert store.n_tasks == 6
+        evicted = store.evict(2)
+        assert evicted == len(by_task[tasks[0]]) + len(by_task[tasks[1]])
+        assert store.n_tasks == 4
+        assert store.task_ids.tolist() == tasks[2:]
+        assert_traces_bitwise(
+            store.build()[0], subset_trace(trace, tasks[2:])
+        )
+        # The evicted tasks' (queue, counter) claims are free again.
+        store.append(by_task[tasks[0]])
+        with pytest.raises(IngestError, match="conflicting event counters"):
+            store.append(by_task[tasks[2]])

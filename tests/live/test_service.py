@@ -256,6 +256,31 @@ class TestCheckpointRestore:
         service.checkpoint()  # no path: a no-op, not an error
 
 
+class TestIngestValidation:
+    def test_a_malformed_batch_admits_nothing(self):
+        """Every record of a batch is validated before the first is
+        admitted: a bad one rejects the whole batch, naming its index, so
+        the stream's counts and the service's record clock (what a router
+        trims its replay spool by) stay exact."""
+        trace, horizon = make_trace(n_tasks=60)
+        stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        service = EstimatorService(make_estimator(stream, horizon))
+        records = trace_to_records(trace)[:81]
+        missing = {k: v for k, v in records[10].items() if k != "counter"}
+        for bad, message in (
+            (missing, "record 10: measurement record missing fields"),
+            (dict(records[10], queue=7), "record 10 .* references queue 7"),
+        ):
+            batch = records[:10] + [bad] + records[11:]
+            with pytest.raises(IngestError, match=message):
+                service.ingest(batch)
+            assert (stream.n_admitted, stream.n_pending) == (0, 0)
+            assert service.n_records_seen == 0
+        summary = service.ingest(records)
+        assert summary["admitted"] == 81
+        assert summary["n_seen"] == service.n_records_seen == 81
+
+
 class TestQueryValidation:
     def test_estimates_rejects_negative_since(self):
         trace, horizon = make_trace(n_tasks=80)

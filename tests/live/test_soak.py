@@ -13,8 +13,9 @@ compact.  The assertions are the PR's acceptance criteria:
   through;
 * **bounded checkpoints** — snapshot size plateaus instead of growing
   with stream age;
-* **bitwise windows** — sampled windows subset from the incremental
-  assembly are bitwise the sort-based `assemble_trace` rebuild path.
+* **bitwise windows** — sampled windows subset from the stream's
+  columnar store are bitwise `subset_trace` of the generated source
+  trace.
 
 Scale with ``REPRO_SOAK_TASKS`` (3 records per task; the default is a
 million-record stream).
@@ -27,8 +28,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.events import EventSet
 from repro.events.subset import subset_trace
-from repro.live import LiveTraceStream, assemble_trace
+from repro.live import LiveTraceStream
+from repro.observation import ObservedTrace
 
 pytestmark = pytest.mark.slow
 
@@ -58,6 +61,34 @@ def make_batch(start_task: int, t0: float) -> list[dict]:
     return records
 
 
+def source_trace(records: list[dict]) -> ObservedTrace:
+    """The generator's own trace of task-major *records*: every arrival
+    measured, inner departures equal to the next event's arrival, only
+    last departures measured, and every queue in counter (= task) order."""
+    task = np.array([r["task"] for r in records])
+    queue = np.array([r["queue"] for r in records])
+    arrival = np.array([r.get("arrival", 0.0) for r in records])
+    last = np.array([r.get("last", False) for r in records])
+    departure = np.where(
+        last, [r.get("departure", np.nan) for r in records],
+        np.roll(arrival, -1),
+    )
+    skeleton = EventSet(
+        task=task,
+        seq=np.array([r["seq"] for r in records]),
+        queue=queue,
+        arrival=arrival,
+        departure=departure,
+        n_queues=3,
+        queue_order=[np.flatnonzero(queue == q) for q in range(3)],
+    )
+    return ObservedTrace(
+        skeleton=skeleton,
+        arrival_observed=np.ones(task.size, dtype=bool),
+        departure_observed=last,
+    )
+
+
 def assert_window_bitwise(got, ref):
     np.testing.assert_array_equal(got.skeleton.task, ref.skeleton.task)
     np.testing.assert_array_equal(got.skeleton.arrival, ref.skeleton.arrival)
@@ -82,9 +113,11 @@ def test_million_record_stream_stays_flat_and_bounded():
     batch_seconds = []
     snapshot_sizes = []
     recent_polled: list[tuple[int, float]] = []
+    recent_records: list[dict] = []
     t = 0.0
     for b in range(n_batches):
         records = make_batch(b * BATCH, t)
+        recent_records = recent_records[-BATCH * 3:] + records
         start = time.perf_counter()
         stream.ingest(records)
         t += BATCH * DT
@@ -98,18 +131,14 @@ def test_million_record_stream_stays_flat_and_bounded():
             snapshot_sizes.append(
                 len(pickle.dumps(stream.snapshot_state()))
             )
-            # Bitwise windows: a recent window subset from the live
-            # incremental assembly vs. the sort-based rebuild path.
-            tasks = [
-                task for task, _ in recent_polled
-                if task in stream._final_records
-            ]
+            # Bitwise windows: a recent window subset from the stream
+            # vs. the same window of the generated source trace.
+            held = set(stream.trace.skeleton.task_ids)
+            tasks = [task for task, _ in recent_polled if task in held]
             assert len(tasks) >= 100  # recency keeps them retained
             got = stream.subset(tasks)
-            oracle = assemble_trace(
-                list(stream._final_records.values()), n_queues=3
-            )
-            assert_window_bitwise(got, subset_trace(oracle, tasks))
+            source = source_trace(recent_records)
+            assert_window_bitwise(got, subset_trace(source, tasks))
     # Flat latency: the steady-state tail is no slower than the early
     # (post-warmup) batches — an O(history) regression would make the
     # tail grow with every batch, far past any constant factor.

@@ -450,11 +450,25 @@ class TestSnapshot:
         trace, _ = make_trace(n_tasks=60)
         stream = ingested(trace)
         stream.poll(float("inf"))
+        # Revealed tasks with no rows in the columns.
         state = stream.snapshot_state()
-        state["final_records"] = {}
+        empty = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        state["columns"] = empty.snapshot_state()["columns"]
         state["slot_task"] = {}
         state["resolved"] = {}
-        with pytest.raises(IngestError, match="corrupt snapshot"):
+        with pytest.raises(IngestError, match="corrupt snapshot: revealed"):
+            LiveTraceStream.from_state(state)
+        # Task sizes that do not cover the columns.
+        state = stream.snapshot_state()
+        state["columns"]["task_sizes"] = state["columns"]["task_sizes"][:-1]
+        with pytest.raises(IngestError, match="corrupt snapshot: the task"):
+            LiveTraceStream.from_state(state)
+        # Two rows claiming one (queue, counter).
+        state = stream.snapshot_state()
+        columns = state["columns"]
+        rows = np.flatnonzero(columns["queue"] == 1)
+        columns["counter"][rows[1]] = columns["counter"][rows[0]]
+        with pytest.raises(IngestError, match="corrupt snapshot: two rows"):
             LiveTraceStream.from_state(state)
 
     def test_unknown_snapshot_versions_are_rejected(self):
@@ -463,6 +477,15 @@ class TestSnapshot:
         state["version"] = 99
         with pytest.raises(IngestError, match="snapshot version"):
             LiveTraceStream.from_state(state)
+        # Version 2 carried the finalized tasks as a record-dict log
+        # (``final_records``); nothing replays that log any more.
+        del state["columns"]
+        by_task: dict = {}
+        for r in trace_to_records(trace):
+            by_task.setdefault(r["task"], []).append(r)
+        v2 = {**state, "version": 2, "final_records": by_task}
+        with pytest.raises(IngestError, match="snapshot version: 2"):
+            LiveTraceStream.from_state(v2)
 
     def test_version1_snapshots_are_rejected(self):
         """Snapshots written before compaction existed (version 1), or a
@@ -472,16 +495,17 @@ class TestSnapshot:
         stream = ingested(trace)
         stream.poll(float("inf"))
         state = stream.snapshot_state()
-        v1_keys = (
-            "n_queues", "lateness", "max_pending", "watermark", "sealed",
-            "buffer", "expected", "slot_task", "resolved", "next_slot",
-            "final_records", "dropped_tasks", "n_polled", "counters",
-        )
+        v1 = {
+            "version": 1, "n_queues": 3, "lateness": 0.0,
+            "max_pending": 100_000, "watermark": float("inf"),
+            "sealed": True, "buffer": {}, "expected": {},
+            "slot_task": {0: 0}, "resolved": {0: "final"}, "next_slot": 1,
+            "final_records": {0: trace_to_records(trace)[:3]},
+            "dropped_tasks": [], "n_polled": 1, "counters": {},
+        }
         with pytest.raises(IngestError, match="snapshot version: 1"):
-            LiveTraceStream.from_state(
-                {"version": 1, **{k: state[k] for k in v1_keys}}
-            )
-        for key in ("retain", "reveal_offset", "counters"):
+            LiveTraceStream.from_state(v1)
+        for key in ("retain", "reveal_offset", "counters", "columns"):
             partial = {k: v for k, v in state.items() if k != key}
             with pytest.raises(IngestError, match=f"missing field '{key}'"):
                 LiveTraceStream.from_state(partial)
@@ -574,7 +598,7 @@ class TestCompaction:
         with pytest.raises(IngestError, match="retention horizon"):
             stream.subset([gone])
         # Retained tasks still subset fine.
-        retained = sorted(stream._final_records)
+        retained = stream.trace.skeleton.task_ids
         assert set(stream.subset(retained).skeleton.task_ids) == set(retained)
 
     def test_redelivery_of_a_compacted_task_counts_as_duplicate(self):

@@ -240,6 +240,47 @@ class TestServeIngest:
         with pytest.raises(SystemExit, match="cannot restore"):
             main(["serve", "--restore", "/nonexistent/x.ckpt"])
 
+    def test_serve_restore_rejects_a_record_log_checkpoint(self, tmp_path):
+        """A checkpoint whose stream snapshot is version 2 (finalized tasks
+        as a record-dict log) exits through the restore error path."""
+        import pickle
+
+        from repro.live import (
+            EstimatorService,
+            LiveTraceStream,
+            trace_to_records,
+        )
+        from repro.network import build_tandem_network
+        from repro.observation import TaskSampling
+        from repro.online import StreamingEstimator
+        from repro.simulate import simulate_network
+
+        sim = simulate_network(
+            build_tandem_network(4.0, [6.0, 8.0]), 40, random_state=1
+        )
+        trace = TaskSampling(fraction=0.3).observe(sim.events, random_state=1)
+        path = str(tmp_path / "service.ckpt")
+        stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
+        service = EstimatorService(
+            StreamingEstimator(stream, window=10.0), checkpoint_path=path
+        )
+        records = trace_to_records(trace)
+        service.ingest(records)
+        service.checkpoint()
+        with open(path, "rb") as fh:
+            snapshot = pickle.load(fh)
+        by_task: dict = {}
+        for r in records:
+            by_task.setdefault(r["task"], []).append(r)
+        del snapshot["stream"]["columns"]
+        snapshot["stream"].update(version=2, final_records=by_task)
+        with open(path, "wb") as fh:
+            pickle.dump(snapshot, fh)
+        with pytest.raises(
+            SystemExit, match="cannot restore .*snapshot version: 2"
+        ):
+            main(["serve", "--restore", path])
+
     def test_ingest_validation(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         main([

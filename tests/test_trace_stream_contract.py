@@ -15,25 +15,21 @@ drift from what the streaming estimator assumes:
 * **subset stability** — subsetting revealed tasks is deterministic,
   bitwise equal to :func:`~repro.events.subset.subset_trace` over the
   stream's backing trace, and stable under repetition;
-* **assembly equivalence** — a live stream's incrementally assembled
-  trace is bitwise the sort-based :func:`~repro.live.records.
-  assemble_trace` rebuild of its retained record log, under every
-  ingestion pattern and across prefix compaction (the oracle for the
-  O(task) fast path).
+* **assembly equivalence** — a live stream's trace, built from its
+  columnar store, is bitwise :func:`~repro.events.subset.subset_trace`
+  of the source trace over the tasks it holds, under every ingestion
+  pattern (one shot, batched, shuffled, task ids out of entry order)
+  and across prefix compaction.
 """
 
 import numpy as np
 import pytest
 
+from repro.events import EventSet
 from repro.events.subset import subset_trace
-from repro.live import (
-    LiveTraceStream,
-    assemble_trace,
-    replay_batches,
-    trace_to_records,
-)
+from repro.live import LiveTraceStream, replay_batches, trace_to_records
 from repro.network import build_tandem_network
-from repro.observation import TaskSampling
+from repro.observation import ObservedTrace, TaskSampling
 from repro.online import ReplayTraceStream
 from repro.simulate import simulate_network
 
@@ -181,38 +177,88 @@ def assert_traces_bitwise(got, ref):
         )
 
 
-class TestAssemblyEquivalenceOracle:
-    """The incremental fast path must be indistinguishable from the
-    sort-based rebuild it replaced — the oracle is `assemble_trace` over
-    the stream's retained record log."""
+def relabeled(trace, perm):
+    """*trace* with task *t* renamed ``perm[t]``, still task-id-major:
+    rows re-sorted by (task, seq), masks permuted with them, and every
+    queue's frozen order (unchanged as a sequence of events) remapped to
+    the new row numbers."""
+    sk = trace.skeleton
+    task = perm[sk.task]
+    rows = np.lexsort((sk.seq, task))
+    new_row = np.empty_like(rows)
+    new_row[rows] = np.arange(rows.size)
+    skeleton = EventSet(
+        task=task[rows],
+        seq=sk.seq[rows],
+        queue=sk.queue[rows],
+        arrival=sk.arrival[rows],
+        departure=sk.departure[rows],
+        n_queues=sk.n_queues,
+        state=sk.state[rows],
+        queue_order=[new_row[sk.queue_order(q)] for q in range(sk.n_queues)],
+    )
+    return ObservedTrace(
+        skeleton=skeleton,
+        arrival_observed=trace.arrival_observed[rows],
+        departure_observed=trace.departure_observed[rows],
+    )
 
-    @pytest.mark.parametrize("pattern", ("one_shot", "batched", "shuffled"))
+
+class TestAssemblyEquivalenceOracle:
+    """The stream's trace, built from its columnar store, is bitwise the
+    source trace restricted to the tasks the stream holds — the oracle is
+    `subset_trace` of the recorded trace, never the stream's own data."""
+
+    @pytest.mark.parametrize(
+        "pattern", ("one_shot", "batched", "shuffled", "relabeled")
+    )
     def test_incremental_assembly_matches_the_rebuild(self, pattern, recorded):
-        trace, _ = recorded
+        trace, horizon = recorded
         stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
         records = trace_to_records(trace)
+        source = trace
         if pattern == "one_shot":
             stream.ingest(records)
         elif pattern == "batched":
             for watermark, batch in replay_batches(trace, batch_tasks=16):
                 stream.advance_watermark(watermark)
                 stream.ingest(batch)
-        else:
+        elif pattern == "shuffled":
             rng = np.random.default_rng(7)
             shuffled = [records[i] for i in rng.permutation(len(records))]
             for start in range(0, len(shuffled), 64):
                 stream.ingest(shuffled[start:start + 64])
+        else:
+            # Task ids that do not follow entry order: ids finalize out
+            # of ascending order, and the built rows must still come out
+            # task-id-major.  Compaction's re-delivery cutoff is a task-id
+            # high-water mark, so the same schedule that compacts
+            # ascending ids (the compacted-tail test below) keeps every
+            # task here.
+            perm = np.random.default_rng(5).permutation(
+                int(trace.skeleton.task.max()) + 1
+            )
+            stream = LiveTraceStream(
+                n_queues=trace.skeleton.n_queues, retain=horizon / 6
+            )
+            for watermark, batch in replay_batches(trace, batch_tasks=12):
+                stream.advance_watermark(watermark)
+                stream.ingest(
+                    [dict(r, task=int(perm[r["task"]])) for r in batch]
+                )
+                stream.poll(stream.horizon + 1.0)
+                stream.compact()
+            source = relabeled(trace, perm)
         stream.seal()
-        assert stream._assembler is not None  # the fast path stayed active
-        oracle = assemble_trace(
-            list(stream._final_records.values()),
-            n_queues=trace.skeleton.n_queues,
+        assert stream.n_compacted_tasks == 0
+        assert stream.n_retained_tasks == trace.skeleton.n_tasks
+        assert_traces_bitwise(
+            stream.trace, subset_trace(source, source.skeleton.task_ids)
         )
-        assert_traces_bitwise(stream.trace, oracle)
 
     def test_compacted_tail_assembly_matches_the_rebuild(self, recorded):
         """After every compaction step the retained tail's trace is still
-        bitwise the rebuild of the retained records."""
+        bitwise the source trace restricted to the retained tasks."""
         trace, horizon = recorded
         stream = LiveTraceStream(
             n_queues=trace.skeleton.n_queues, retain=horizon / 6
@@ -223,9 +269,8 @@ class TestAssemblyEquivalenceOracle:
             stream.poll(stream.horizon + 1.0)
             stream.compact()
             if stream.n_retained_tasks:
-                oracle = assemble_trace(
-                    list(stream._final_records.values()),
-                    n_queues=trace.skeleton.n_queues,
+                retained = stream.trace.skeleton.task_ids
+                assert_traces_bitwise(
+                    stream.trace, subset_trace(trace, retained)
                 )
-                assert_traces_bitwise(stream.trace, oracle)
         assert stream.n_compacted_tasks > 0

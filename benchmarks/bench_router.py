@@ -31,7 +31,7 @@ import threading
 import time
 
 from repro.experiments import render_table
-from repro.live import IngestRouter, LiveClient, LiveServer
+from repro.live import IngestRouter, LiveClient, LiveServer, ServiceConfig
 
 from conftest import full_scale
 
@@ -78,18 +78,14 @@ def make_batches(n_tasks: int, dt: float = 0.01) -> list[list[dict]]:
     return batches
 
 
-def tier_config(horizon: float) -> dict:
+def tier_config(horizon: float) -> ServiceConfig:
     # Estimation is stubbed out (min_observed_tasks unreachable) so the
     # numbers isolate the ingest path — routing, wire, admission,
     # assembly — which is what the tier multiplies.
-    return {
-        "n_queues": 3,
-        "window": horizon,
-        "min_observed_tasks": 10**9,
-        "stem_iterations": 1,
-        "random_state": 0,
-        "lateness": horizon,
-    }
+    return ServiceConfig(
+        n_queues=3, window=horizon, min_observed_tasks=10**9,
+        stem_iterations=1, seed=0, lateness=horizon,
+    )
 
 
 def measure_tier(n_services: int, batches: list, horizon: float,

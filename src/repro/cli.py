@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 
+from repro.errors import InferenceError, IngestError, ReproError
 from repro.events import load_jsonl, save_jsonl
 from repro.experiments import (
     quick_fig4_config,
@@ -51,12 +54,96 @@ from repro.inference import (
     run_stem,
 )
 from repro.inference.transport import PipeTransport, SocketTransport
+from repro.live import (
+    DEFAULT_AUTHKEY,
+    DEFAULT_BLOCK,
+    EstimatorService,
+    IngestRouter,
+    LiveClient,
+    LiveServer,
+    ServiceConfig,
+    replay_batches,
+)
+from repro.live.service import SERVICE_OPTIONS
 from repro.localization import rank_bottlenecks, render_report
 from repro.network import build_tandem_network, build_three_tier_network
 from repro.observation import TaskSampling
 from repro.online import ReplayTraceStream, detect_anomalies
 from repro.simulate import simulate_network
+from repro.telemetry.console import render_top
 from repro.webapp import WebAppConfig, generate_webapp_trace
+
+#: The subcommands whose flags are generated from ServiceConfig's fields.
+CONFIG_COMMANDS = ("stream", "serve", "route")
+
+
+def _flag(field) -> str:
+    return field.metadata.get("flag", "--" + field.name.replace("_", "-"))
+
+
+def _commands(field) -> tuple[str, ...]:
+    return field.metadata.get("commands", CONFIG_COMMANDS)
+
+
+#: Config field -> its flag, for every field that has one.
+FLAGS = {
+    field.name: _flag(field) for field in fields(ServiceConfig)
+    if _commands(field)
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """A flag for every ServiceConfig field *command* takes, each read
+    off its field (see :func:`repro.online.config.knob`).  A ``SUPPRESS``
+    default keeps an unpassed flag out of the namespace, so the
+    dataclass default is the only default."""
+    for field in fields(ServiceConfig):
+        if command not in _commands(field):
+            continue
+        meta = field.metadata
+        default = None if field.default is MISSING else field.default
+        parser.add_argument(
+            _flag(field), dest=field.name, default=argparse.SUPPRESS,
+            type=meta.get("type", type(default)), choices=meta.get("choices"),
+            help=meta["help"] + (
+                "" if default is None else f" (default: {default})"
+            ),
+        )
+
+
+def _passed(args: argparse.Namespace) -> dict:
+    """The config fields passed on the command line, by field name."""
+    return {name: value for name, value in vars(args).items() if name in FLAGS}
+
+
+def _config(values: dict) -> ServiceConfig:
+    """Validate *values* as a ServiceConfig.  Every config error message
+    starts with the field it rejects, so a bad value exits naming its
+    flag instead."""
+    try:
+        return ServiceConfig(**values)
+    except ReproError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise SystemExit(
+            f"{FLAGS[name]} {rest}" if name in FLAGS else str(exc)
+        ) from None
+
+
+def render_config_table() -> str:
+    """The README's "Configuration" table, rendered from ServiceConfig's
+    fields: flag, field, default, commands, meaning."""
+    lines = ["| flag | field | default | commands | meaning |",
+             "|---|---|---|---|---|"]
+    for field in fields(ServiceConfig):
+        default = (
+            "required" if field.default is MISSING
+            else "—" if field.default is None else f"`{field.default}`"
+        )
+        flag = f"`{FLAGS[field.name]}`" if field.name in FLAGS else "—"
+        commands = ", ".join(_commands(field))
+        lines.append(f"| {flag} | `{field.name}` | {default} | "
+                     f"{commands or '—'} | {field.metadata['help']} |")
+    return "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,42 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "any worker count)",
     )
 
-    def _add_estimator_flags(p, sentinel: bool = False) -> None:
-        # One flag block shared by stream/serve/route.  With
-        # sentinel=True every default is None so the serve --restore
-        # branch can tell "explicitly passed" from "defaulted"; real
-        # defaults are the EstimatorConfig dataclass defaults, applied
-        # at construction time.
-        d = (lambda v: None) if sentinel else (lambda v: v)
-        p.add_argument(
-            "--estimator", choices=["stem", "smc"], default=d("stem"),
-            help="estimator flavor: 'stem' reruns windowed StEM per window "
-            "(default); 'smc' advances a particle population per poll "
-            "batch with ESS-triggered Gibbs rejuvenation — O(arrivals) "
-            "between triggers, the win under heavy window overlap",
-        )
-        p.add_argument(
-            "--particles", type=int, default=d(16),
-            help="SMC particle count (default: 16; --estimator smc only)",
-        )
-        p.add_argument(
-            "--ess-threshold", type=float, default=d(0.5),
-            help="resample + rejuvenate when the effective sample size "
-            "falls below this fraction of the particle count "
-            "(default: 0.5; --estimator smc only)",
-        )
-        p.add_argument(
-            "--rejuvenation-sweeps", type=int, default=d(1),
-            help="Gibbs sweeps per particle per rejuvenation trigger "
-            "(default: 1; --estimator smc only)",
-        )
-        p.add_argument(
-            "--worker-retries", type=int, default=d(1),
-            help="times a window whose shard worker pool died is re-run "
-            "on a relaunched pool before its failure is recorded as data "
-            "(default: 1)",
-        )
-
     stream = sub.add_parser(
         "stream",
         help="sliding-window estimation over a replayed trace "
@@ -172,41 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(ignored when --window is given)",
     )
     stream.add_argument(
-        "--window", type=float, default=None,
-        help="window length in trace clock units (overrides --windows)",
-    )
-    stream.add_argument(
-        "--step", type=float, default=None,
-        help="window start spacing (default: the window length; smaller "
-        "values overlap windows)",
-    )
-    stream.add_argument("--iterations", type=int, default=30,
-                        help="StEM iterations per window")
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument(
-        "--shards", type=int, default=1,
-        help="sharded sweeps per window (clamped to each window's task count)",
-    )
-    stream.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="host the shard sweeps on this many worker processes, one "
-        "pool for the whole stream (results identical at any worker count)",
-    )
-    stream.add_argument(
         "--transport", choices=["pipe", "socket"], default="pipe",
         help="worker transport: OS pipes (default) or loopback TCP "
         "sockets — the same wire protocol remote workers would speak",
     )
-    stream.add_argument(
-        "--kernel", choices=["array", "native", "object"], default="array",
-        help="sweep kernel for every window's E-step chains ('native' "
-        "falls back to 'array' when numba is unavailable)",
-    )
-    stream.add_argument(
-        "--anomaly-threshold", type=float, default=4.0,
-        help="robust z-score above which a window's rate shift is flagged",
-    )
-    _add_estimator_flags(stream)
+    _add_config_flags(stream, "stream")
 
     serve = sub.add_parser(
         "serve",
@@ -230,70 +251,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: a development-only key; set your own for anything "
         "reachable from an untrusted network)",
     )
-    serve.add_argument(
-        "--queues", type=int, default=None,
-        help="queue count of the monitored network, including entry queue 0 "
-        "(required unless --restore)",
-    )
-    serve.add_argument(
-        "--window", type=float, default=None,
-        help="estimation window length in trace clock units "
-        "(required unless --restore)",
-    )
-    # Estimator/stream flags use None sentinels so the --restore branch
-    # can tell "explicitly passed" from "defaulted" — a checkpoint freezes
-    # these, and silently ignoring an explicit value would mislead the
-    # operator.  Real defaults are applied in _cmd_serve.
-    serve.add_argument("--step", type=float, default=None,
-                       help="window start spacing (default: the window length)")
-    serve.add_argument("--iterations", type=int, default=None,
-                       help="StEM iterations per window (default: 30)")
-    serve.add_argument(
-        "--min-observed", type=int, default=None,
-        help="windows with fewer fully observed tasks are skipped (default: 3)",
-    )
-    serve.add_argument("--seed", type=int, default=None,
-                       help="estimation seed (default: 0)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="sharded sweeps per window (default: 1)")
-    serve.add_argument("--shard-workers", type=int, default=None,
-                       help="worker processes hosting the shard sweeps")
-    serve.add_argument(
-        "--kernel", choices=["array", "native", "object"], default=None,
-        help="sweep kernel for the window E-steps (default: array; "
-        "'native' falls back to 'array' when numba is unavailable)",
-    )
-    serve.add_argument(
-        "--lateness", type=float, default=None,
-        help="grace interval behind the watermark within which measurements "
-        "are still admitted; older ones are dropped as stragglers "
-        "(default: 0)",
-    )
-    serve.add_argument(
-        "--max-pending", type=int, default=None,
-        help="buffered-record bound before ingestion backpressure "
-        "(default: 100000)",
-    )
-    serve.add_argument(
-        "--retain", type=float, default=None,
-        help="retention horizon in trace clock units: finished tasks older "
-        "than watermark minus this (and out of reach of every future "
-        "window) are folded into summary statistics and evicted, bounding "
-        "memory and checkpoint size; needs task ids that ascend in entry "
-        "order, otherwise every task is kept (default: keep full history)",
-    )
     serve.add_argument("--checkpoint", default=None,
                        help="snapshot service state to this path")
-    serve.add_argument("--checkpoint-every", type=int, default=None,
-                       help="published windows between snapshots (default: 1)")
     serve.add_argument(
         "--restore", default=None,
-        help="resume from a checkpoint written by a previous serve run "
-        "(ingestion clients replay the tail; duplicates are ignored)",
+        help="resume from a checkpoint written by a previous serve run, "
+        "with its configuration (only --checkpoint-every and "
+        "--anomaly-threshold may change); ingestion clients replay the "
+        "tail, duplicates are ignored",
     )
-    serve.add_argument("--anomaly-threshold", type=float, default=None,
-                       help="robust z-score flagging threshold (default: 4)")
-    _add_estimator_flags(serve, sentinel=True)
+    _add_config_flags(serve, "serve")
 
     ing = sub.add_parser(
         "ingest",
@@ -383,56 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     route.add_argument("--services", type=int, default=2,
                        help="independent estimator services to run")
-    route.add_argument("--queues", type=int, required=True,
-                       help="queue count of the monitored network, "
-                       "including entry queue 0")
-    route.add_argument("--window", type=float, required=True,
-                       help="estimation window length in trace clock units")
-    route.add_argument("--step", type=float, default=None,
-                       help="window start spacing (default: the window length)")
-    route.add_argument("--iterations", type=int, default=30,
-                       help="StEM iterations per window")
-    route.add_argument("--min-observed", type=int, default=3,
-                       help="windows with fewer fully observed tasks are "
-                       "skipped")
-    route.add_argument("--seed", type=int, default=0,
-                       help="estimation seed (each service derives its own "
-                       "child seed from it)")
-    route.add_argument("--shards", type=int, default=1,
-                       help="sharded sweeps per window, per service")
-    route.add_argument("--shard-workers", type=int, default=None,
-                       help="worker processes hosting each service's shards")
     route.add_argument(
-        "--kernel", choices=["array", "native", "object"], default="array",
-        help="sweep kernel for every service's window E-steps ('native' "
-        "falls back to 'array' when numba is unavailable)",
-    )
-    route.add_argument(
-        "--lateness", type=float, default=0.0,
-        help="grace interval behind the watermark within which measurements "
-        "are still admitted; older ones are dropped as stragglers",
-    )
-    route.add_argument("--max-pending", type=int, default=100_000,
-                       help="per-service buffered-record bound before "
-                       "ingestion backpressure")
-    route.add_argument(
-        "--retain", type=float, default=None,
-        help="per-service retention horizon in trace clock units; needs "
-        "task ids that ascend in entry order, otherwise every task is kept "
-        "(default: keep full history)",
-    )
-    route.add_argument(
-        "--block", type=int, default=None,
+        "--block", type=int, default=DEFAULT_BLOCK,
         help="entry slots per stripe block; tasks entering within one "
-        "block land on the same service (default: 32)",
+        "block land on the same service (default: %(default)s)",
     )
     route.add_argument(
         "--checkpoint-dir", default=None,
         help="directory for per-service snapshots (partition-N.ckpt); "
         "required for crash recovery of a killed service",
     )
-    route.add_argument("--checkpoint-every", type=int, default=1,
-                       help="published windows between snapshots")
     route.add_argument(
         "--max-spool", type=int, default=100_000,
         help="acked-but-uncheckpointed records the router retains per "
@@ -442,9 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--probe-interval", type=float, default=1.0,
         help="seconds between supervisor liveness probes of each service",
     )
-    route.add_argument("--anomaly-threshold", type=float, default=4.0,
-                       help="robust z-score flagging threshold")
-    _add_estimator_flags(route)
+    _add_config_flags(route, "route")
 
     exp = sub.add_parser("experiment", help="run a reduced-scale paper experiment")
     exp.add_argument("which", choices=["fig4", "fig5", "variance"])
@@ -548,102 +473,26 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI flag attribute -> EstimatorConfig field, for the flag block shared
-#: by stream/serve/route.  Flags a subcommand lacks, or left at a None
-#: sentinel, fall back to the dataclass defaults.
-_ESTIMATOR_FLAG_FIELDS = (
-    ("step", "step"),
-    ("iterations", "stem_iterations"),
-    ("min_observed", "min_observed_tasks"),
-    ("shards", "shards"),
-    ("shard_workers", "shard_workers"),
-    ("kernel", "kernel"),
-    ("worker_retries", "worker_retries"),
-    ("particles", "n_particles"),
-    ("ess_threshold", "ess_threshold"),
-    ("rejuvenation_sweeps", "rejuvenation_sweeps"),
-)
-
-
-def _estimator_config_from_args(args, window, **overrides):
-    from repro.errors import InferenceError
-    from repro.online import EstimatorConfig
-
-    kwargs = {"window": window}
-    for attr, field in _ESTIMATOR_FLAG_FIELDS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[field] = value
-    kwargs.update(overrides)
-    try:
-        return EstimatorConfig(**kwargs)
-    except InferenceError as exc:
-        raise SystemExit(str(exc))
-
-
-def _build_estimator(name, stream, *, random_state, config, transport=None):
-    from repro.errors import InferenceError
-    from repro.online import get_estimator
-
-    try:
-        return get_estimator(name)(
-            stream,
-            random_state=random_state,
-            transport=transport,
-            config=config,
-        )
-    except InferenceError as exc:
-        raise SystemExit(str(exc))
-
-
-def _reject_smc_sharding(estimator, shards, shard_workers):
-    if estimator == "smc" and (shards > 1 or shard_workers is not None):
-        raise SystemExit(
-            "--estimator smc rejuvenates every particle in-process; "
-            "drop --shards/--shard-workers"
-        )
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
-    if args.shard_workers is not None and args.shard_workers < 1:
-        raise SystemExit("--shard-workers must be at least 1")
-    if args.shard_workers is not None and args.shards == 1:
-        raise SystemExit("--shard-workers requires --shards > 1")
-    if args.transport != "pipe" and args.shard_workers is None:
+    if args.windows < 1:
+        raise SystemExit("--windows must be at least 1")
+    values = _passed(args)
+    events = load_jsonl(args.trace)
+    trace = TaskSampling(fraction=args.observe).observe(
+        events, random_state=values.get("seed", ServiceConfig.seed)
+    )
+    source = ReplayTraceStream(trace)
+    values.setdefault("window", source.horizon / args.windows)
+    config = _config({**values, "n_queues": events.n_queues})
+    if args.transport != "pipe" and config.shard_workers is None:
         raise SystemExit(
             "--transport selects the worker transport; pass --shard-workers "
             "(with --shards > 1) or drop it"
         )
-    if args.window is not None and args.window <= 0.0:
-        raise SystemExit("--window must be positive")
-    if args.step is not None and args.step <= 0.0:
-        raise SystemExit("--step must be positive")
-    if args.windows < 1:
-        raise SystemExit("--windows must be at least 1")
-    if args.iterations < 1:
-        raise SystemExit("--iterations must be at least 1")
-    _reject_smc_sharding(args.estimator, args.shards, args.shard_workers)
-    events = load_jsonl(args.trace)
-    trace = TaskSampling(fraction=args.observe).observe(events, random_state=args.seed)
     print(trace.summary())
-    source = ReplayTraceStream(trace)
-    window = (
-        args.window if args.window is not None else source.horizon / args.windows
-    )
     transport = SocketTransport() if args.transport == "socket" else PipeTransport()
-    config = _estimator_config_from_args(args, window)
-    estimator = _build_estimator(
-        args.estimator, source,
-        random_state=args.seed, config=config, transport=transport,
-    )
-    windows = estimator.run()  # closes the pool and the owned transport
+    # run() closes the pool and the owned transport.
+    windows = config.make_estimator(source, transport=transport).run()
     rows = []
     for i, est in enumerate(windows):
         services = (
@@ -659,7 +508,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ["win", "t0", "t1", "tasks", "obs", "shards", "mean service (q1..)"],
         rows, title="\nstreaming window estimates",
     ))
-    reports = detect_anomalies(windows, threshold=args.anomaly_threshold)
+    reports = detect_anomalies(windows, threshold=config.anomaly_threshold)
     if reports:
         print("\nanomalies:")
         for r in reports:
@@ -674,223 +523,98 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _authkey(value: str | None) -> bytes:
-    from repro.live import DEFAULT_AUTHKEY
-
     return DEFAULT_AUTHKEY if value is None else value.encode("utf-8")
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import InferenceError, IngestError
-    from repro.live import EstimatorService, LiveServer, LiveTraceStream
+def _live_config(args: argparse.Namespace, hint: str = "") -> ServiceConfig:
+    values = _passed(args)
+    if "n_queues" not in values or "window" not in values:
+        raise SystemExit(f"--queues and --window are required{hint}")
+    return _config(values)
 
-    if args.restore is not None:
-        # Resuming replays the checkpoint's exact configuration; accepting
-        # these flags and then ignoring them would let an operator believe
-        # the resumed service runs with e.g. different sharding.  The
-        # parser uses None sentinels, so "explicitly passed" is detected
-        # even when the passed value equals the documented default.
-        frozen = (
-            "queues", "window", "step", "iterations", "min_observed",
-            "seed", "shards", "shard_workers", "kernel", "lateness",
-            "max_pending", "retain", "estimator", "particles",
-            "ess_threshold", "rejuvenation_sweeps", "worker_retries",
-        )
-        rejected = [
-            "--" + name.replace("_", "-")
-            for name in frozen
-            if getattr(args, name) is not None
-        ]
-        if rejected:
-            raise SystemExit(
-                "--restore resumes the checkpoint's configuration; drop "
-                + "/".join(rejected)
-            )
-        # Service-level options stay overridable on resume — but only when
-        # the operator actually passed them; defaults must not clobber the
-        # checkpointed values.
-        overrides = {}
-        if args.anomaly_threshold is not None:
-            overrides["anomaly_threshold"] = args.anomaly_threshold
-        if args.checkpoint_every is not None:
-            overrides["checkpoint_every"] = args.checkpoint_every
+
+def _serve_until_shutdown(target, args: argparse.Namespace, label: str) -> None:
+    """Front a started service or router with one LiveServer until a
+    client asks for shutdown (or ^C)."""
+    with LiveServer(
+        target, host=args.host, port=args.port, authkey=_authkey(args.authkey)
+    ) as server:
+        host, port = server.address
+        print(f"{label} listening on {host}:{port}")
+        print("ingest with: repro ingest TRACE.jsonl "
+              f"--connect {host}:{port}" +
+              (" --authkey <key>" if args.authkey else ""))
         try:
-            service = EstimatorService.from_checkpoint(
-                args.restore,
-                checkpoint_path=args.checkpoint,
-                **overrides,
-            )
-        except (OSError, IngestError, InferenceError) as exc:
-            raise SystemExit(f"cannot restore from {args.restore}: {exc}")
-        print(f"restored from {args.restore}: "
-              f"{len(service.windows())} windows already published")
-    else:
-        if args.queues is None or args.window is None:
-            raise SystemExit("--queues and --window are required (or --restore)")
-        if args.window <= 0.0:
-            raise SystemExit("--window must be positive")
-        # Fill the documented defaults behind the None sentinels the
-        # parser uses for --restore detection.
-        shards = 1 if args.shards is None else args.shards
-        if shards < 1:
-            raise SystemExit("--shards must be at least 1")
-        if args.shard_workers is not None and shards == 1:
-            raise SystemExit("--shard-workers requires --shards > 1")
-        kernel = "array" if args.kernel is None else args.kernel
-        if shards > 1 and kernel not in ("array", "native"):
-            raise SystemExit(
-                "--shards requires the array kernel or its native lowering "
-                "(drop --kernel object)"
-            )
-        estimator_name = "stem" if args.estimator is None else args.estimator
-        _reject_smc_sharding(estimator_name, shards, args.shard_workers)
-        stream = LiveTraceStream(
-            n_queues=args.queues,
-            lateness=0.0 if args.lateness is None else args.lateness,
-            max_pending=(
-                100_000 if args.max_pending is None else args.max_pending
-            ),
-            retain=args.retain,
-        )
-        # The serve parser keeps its historical default of 30 StEM
-        # iterations; every other None sentinel falls back to the
-        # EstimatorConfig dataclass defaults.
-        config = _estimator_config_from_args(
-            args, args.window,
-            stem_iterations=30 if args.iterations is None else args.iterations,
-        )
-        estimator = _build_estimator(
-            estimator_name, stream,
-            random_state=0 if args.seed is None else args.seed,
-            config=config,
-        )
-        service = EstimatorService(
-            estimator,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=(
-                1 if args.checkpoint_every is None else args.checkpoint_every
-            ),
-            anomaly_threshold=(
-                4.0 if args.anomaly_threshold is None else args.anomaly_threshold
-            ),
-        )
-    server = LiveServer(
-        service, host=args.host, port=args.port, authkey=_authkey(args.authkey)
-    )
-    service.start()
-    server.start()
-    host, port = server.address
-    print(f"repro live service listening on {host}:{port}")
-    print("ingest with: repro ingest TRACE.jsonl "
-          f"--connect {host}:{port}" +
-          (" --authkey <key>" if args.authkey else ""))
-    try:
-        server.wait_for_shutdown()
-        print("shutdown requested; draining")
-    except KeyboardInterrupt:
-        print("\ninterrupted; draining")
-    finally:
-        server.close()
-        service.stop()
-    health = service.health()["service"]
-    print(f"served {health['windows_published']} windows "
-          f"({health['anomalies']} anomaly flags); status: {health['status']}")
-    if health["status"] == "failed":
-        print(f"estimator error: {health['error']}", file=sys.stderr)
-        return 1
-    return 0
+            server.wait_for_shutdown()
+            print("shutdown requested; draining")
+        except KeyboardInterrupt:
+            print("\ninterrupted; draining")
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.live import DEFAULT_BLOCK, IngestRouter, LiveServer
-
-    if args.services < 1:
-        raise SystemExit("--services must be at least 1")
-    if args.window <= 0.0:
-        raise SystemExit("--window must be positive")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shard_workers is not None and args.shards == 1:
-        raise SystemExit("--shard-workers requires --shards > 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
-    _reject_smc_sharding(args.estimator, args.shards, args.shard_workers)
-    service_config = {
-        "n_queues": args.queues,
-        "window": args.window,
-        "estimator": args.estimator,
-        "stem_iterations": args.iterations,
-        "min_observed_tasks": args.min_observed,
-        "random_state": args.seed,
-        "shards": args.shards,
-        "kernel": args.kernel,
-        "worker_retries": args.worker_retries,
-        "n_particles": args.particles,
-        "ess_threshold": args.ess_threshold,
-        "rejuvenation_sweeps": args.rejuvenation_sweeps,
-        "lateness": args.lateness,
-        "max_pending": args.max_pending,
-        "checkpoint_every": args.checkpoint_every,
-        "anomaly_threshold": args.anomaly_threshold,
-    }
-    if args.step is not None:
-        service_config["step"] = args.step
-    if args.shard_workers is not None:
-        service_config["shard_workers"] = args.shard_workers
-    if args.retain is not None:
-        service_config["retain"] = args.retain
-    router = IngestRouter(
-        args.services,
-        service_config,
-        block=DEFAULT_BLOCK if args.block is None else args.block,
-        checkpoint_dir=args.checkpoint_dir,
-        authkey=_authkey(args.authkey),
-        max_spool_records=args.max_spool,
-        probe_interval=args.probe_interval,
-    )
-    print(f"starting {args.services} partition services ...")
-    router.start()
-    # The router implements the full service command surface, so the
-    # stock LiveServer fronts the whole tier unchanged.
-    server = LiveServer(
-        router, host=args.host, port=args.port, authkey=_authkey(args.authkey)
-    )
-    server.start()
-    host, port = server.address
-    print(f"repro routing tier ({args.services} services) "
-          f"listening on {host}:{port}")
-    print("ingest with: repro ingest TRACE.jsonl "
-          f"--connect {host}:{port}" +
-          (" --authkey <key>" if args.authkey else ""))
-    try:
-        server.wait_for_shutdown()
-        print("shutdown requested; draining")
-    except KeyboardInterrupt:
-        print("\ninterrupted; draining")
-    finally:
-        server.close()
-        health = router.health()
-        router.close()
-    tier, router = health["service"], health["router"]
+def _report(health: dict) -> int:
+    tier, router = health["service"], health.get("router")
     print(f"served {tier['windows_published']} windows "
-          f"({tier['anomalies']} anomaly flags) across "
-          f"{router['n_partitions']} services; "
-          f"status: {tier['status']}; "
-          f"service restarts: {router['n_restarts']}")
+          f"({tier['anomalies']} anomaly flags)"
+          + (f" across {router['n_partitions']} services" if router else "")
+          + f"; status: {tier['status']}"
+          + (f"; service restarts: {router['n_restarts']}" if router else ""))
     if tier["status"] == "failed":
         print(f"estimator error: {tier['error']}", file=sys.stderr)
         return 1
     return 0
 
 
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.restore is None:
+        service = _live_config(args, " (or --restore)").build(args.checkpoint)
+    else:
+        # The checkpoint fixes the stream and the estimator; accepting
+        # their flags and then ignoring them would mislead the operator.
+        # Only flags actually passed are in the namespace.
+        overrides = _passed(args)
+        frozen = [FLAGS[name] for name in overrides if name not in SERVICE_OPTIONS]
+        if frozen:
+            raise SystemExit(
+                "--restore resumes the checkpoint's configuration; drop "
+                + "/".join(frozen)
+            )
+        try:
+            service = EstimatorService.from_checkpoint(
+                args.restore, checkpoint_path=args.checkpoint, **overrides
+            )
+        except (OSError, ReproError) as exc:
+            raise SystemExit(f"cannot restore from {args.restore}: {exc}")
+        print(f"restored from {args.restore}: "
+              f"{len(service.windows())} windows already published")
+    with service:
+        _serve_until_shutdown(service, args, "repro live service")
+    return _report(service.health())
+
+
+def _cmd_route(args: argparse.Namespace) -> int:
+    if args.services < 1:
+        raise SystemExit("--services must be at least 1")
+    if args.block < 1:
+        raise SystemExit("--block must be at least 1")
+    router = IngestRouter(
+        args.services,
+        _live_config(args),
+        block=args.block,
+        checkpoint_dir=args.checkpoint_dir,
+        authkey=_authkey(args.authkey),
+        max_spool_records=args.max_spool,
+        probe_interval=args.probe_interval,
+    )
+    print(f"starting {args.services} partition services ...")
+    with router:
+        _serve_until_shutdown(
+            router, args, f"repro routing tier ({args.services} services)"
+        )
+        health = router.health()
+    return _report(health)
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.errors import IngestError
-    from repro.live import LiveClient, replay_batches
-
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         raise SystemExit(f"--connect must be host:port, got {args.connect!r}")
@@ -898,8 +622,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         raise SystemExit("--speedup must be >= 0")
     if args.batch < 1:
         raise SystemExit("--batch must be at least 1")
-    from repro.errors import InferenceError
-
     events = load_jsonl(args.trace)
     trace = TaskSampling(fraction=args.observe).observe(events, random_state=args.seed)
     print(trace.summary())
@@ -974,12 +696,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.errors import IngestError
-    from repro.live import LiveClient
-    from repro.telemetry.console import render_top
-
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         raise SystemExit(f"--connect must be host:port, got {args.connect!r}")

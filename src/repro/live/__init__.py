@@ -20,7 +20,9 @@ PR 2–4 engine stack:
 * :mod:`repro.live.service` — :class:`EstimatorService`, the supervisor
   that drives a :class:`~repro.online.streaming.StreamingEstimator` as
   the stream's horizon advances, publishes every window estimate with
-  anomaly flags, and checkpoints so a restarted service resumes bitwise.
+  anomaly flags, and checkpoints so a restarted service resumes bitwise;
+  and :class:`ServiceConfig`, the one validated configuration a service
+  (or every partition of a router) is built from.
 
 Equivalence contract: a recorded trace ingested in order with no
 stragglers yields window estimates **bitwise identical** to the
@@ -42,7 +44,11 @@ from repro.live.router import (
     rebase_slot,
 )
 from repro.live.server import DEFAULT_AUTHKEY, LiveClient, LiveServer
-from repro.live.service import EstimatorService, estimate_to_record
+from repro.live.service import (
+    EstimatorService,
+    ServiceConfig,
+    estimate_to_record,
+)
 from repro.live.stream import CompactionSummary, LiveTraceStream
 
 __all__ = [
@@ -52,6 +58,7 @@ __all__ = [
     "LiveServer",
     "LiveClient",
     "EstimatorService",
+    "ServiceConfig",
     "IngestRouter",
     "DEFAULT_BLOCK",
     "entry_partition",

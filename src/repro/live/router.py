@@ -55,42 +55,22 @@ import time
 from collections import deque
 from operator import attrgetter
 
-import inspect
-
 from repro import telemetry
 from repro.errors import IngestError, ReproError
 from repro.live.server import DEFAULT_AUTHKEY, LiveClient, LiveServer
 from repro.live.service import (
     EstimatorService,
+    ServiceConfig,
     flatten_health,
     render_metrics_report,
 )
 from repro.live.stream import LiveTraceStream
-from repro.online import EstimatorConfig, estimator_config_keys, get_estimator
+from repro.online import get_estimator
 from repro.rng import as_seed_sequence
 
 #: Entry slots per stripe block (see module docstring).  Tasks entering
 #: within one block stay together on one partition.
 DEFAULT_BLOCK = 32
-
-
-def _stream_keys() -> tuple[str, ...]:
-    """Stream-construction keys accepted in a router ``service_config``.
-
-    Derived from :class:`~repro.live.stream.LiveTraceStream`'s own
-    signature (everything but ``n_queues``, which the router requires
-    explicitly) — a new stream knob is routable without touching this
-    module.  Estimator keys come from
-    :func:`~repro.online.config.estimator_config_keys` the same way.
-    """
-    params = inspect.signature(LiveTraceStream.__init__).parameters
-    return tuple(
-        name for name in params if name not in ("self", "n_queues")
-    )
-
-
-#: Service-construction keys accepted in a router ``service_config``.
-_SERVICE_KEYS = ("checkpoint_every", "poll_interval", "anomaly_threshold")
 
 #: Ingest-summary keys the router sums across partition replies.
 _SUMMARY_KEYS = ("admitted", "duplicates", "late", "stragglers",
@@ -113,8 +93,10 @@ def rebase_slot(slot: int, n_partitions: int, block: int) -> int:
     return cycle * block + offset % block
 
 
-def _partition_service_main(config, checkpoint_path, restore, authkey, conn):
-    """Child entry point: one partition's stream + estimator + server.
+def _partition_service_main(config, seed, checkpoint_path, restore, authkey,
+                            conn):
+    """Child entry point: one partition's service (built from *config*
+    with the partition's *seed*) and its server.
 
     Reports ``("ready", address)`` (or ``("error", message)``) over
     *conn*, then serves until a ``shutdown`` command arrives or the
@@ -128,21 +110,7 @@ def _partition_service_main(config, checkpoint_path, restore, authkey, conn):
         if restore and checkpoint_path and os.path.exists(checkpoint_path):
             service = EstimatorService.from_checkpoint(checkpoint_path)
         else:
-            stream = LiveTraceStream(
-                n_queues=config["n_queues"],
-                **{k: config[k] for k in _stream_keys() if k in config},
-            )
-            estimator_cls = get_estimator(config.get("estimator", "stem"))
-            estimator = estimator_cls(
-                stream,
-                random_state=config.get("random_state"),
-                config=EstimatorConfig.from_mapping(config),
-            )
-            service = EstimatorService(
-                estimator,
-                checkpoint_path=checkpoint_path,
-                **{k: config[k] for k in _SERVICE_KEYS if k in config},
-            )
+            service = config.build(checkpoint_path, random_state=seed)
         server = LiveServer(service, authkey=authkey)
     except Exception as exc:  # noqa: BLE001 — must cross the pipe
         try:
@@ -162,10 +130,11 @@ def _partition_service_main(config, checkpoint_path, restore, authkey, conn):
 class _PartitionHandle:
     """Router-side handle of one partition: process, client, spool."""
 
-    def __init__(self, index, config, checkpoint_path, authkey,
+    def __init__(self, index, config, seed, checkpoint_path, authkey,
                  start_timeout) -> None:
         self.index = index
         self.config = config
+        self.seed = seed
         self.checkpoint_path = checkpoint_path
         self.authkey = authkey
         self.start_timeout = float(start_timeout)
@@ -188,7 +157,7 @@ class _PartitionHandle:
         # own; orphan cleanup is the parent-liveness watch in the child.
         proc = ctx.Process(
             target=_partition_service_main,
-            args=(self.config, self.checkpoint_path, restore,
+            args=(self.config, self.seed, self.checkpoint_path, restore,
                   self.authkey, child_conn),
             name=f"repro-partition-{self.index}",
         )
@@ -269,16 +238,11 @@ class IngestRouter:
     ----------
     n_partitions:
         Independent service processes to run.
-    service_config:
-        Per-partition construction options: ``n_queues`` and ``window``
-        are required; optional stream keys (``lateness`` /
-        ``max_pending`` / ``retain``), estimator keys (any
-        :class:`~repro.online.config.EstimatorConfig` field but
-        ``window``), service keys (``checkpoint_every``,
-        ``poll_interval``, ``anomaly_threshold``), and ``random_state`` —
-        the base seed,
-        from which each partition receives its own spawned child, so a
-        tier restarted with the same seed reproduces its estimates.
+    config:
+        Every partition's :class:`~repro.live.service.ServiceConfig`,
+        already validated; each partition builds its service from it
+        with its own child spawned from ``config.seed``, so a tier
+        restarted with the same seed reproduces its estimates.
     block:
         Entry slots per stripe block (placement granularity).
     checkpoint_dir:
@@ -322,7 +286,7 @@ class IngestRouter:
     def __init__(
         self,
         n_partitions: int,
-        service_config: dict,
+        config: ServiceConfig,
         block: int = DEFAULT_BLOCK,
         checkpoint_dir: str | None = None,
         authkey: bytes = DEFAULT_AUTHKEY,
@@ -337,39 +301,22 @@ class IngestRouter:
             )
         if block < 1:
             raise IngestError(f"block must be >= 1, got {block}")
-        for key in ("n_queues", "window"):
-            if key not in service_config:
-                raise IngestError(f"service_config must provide {key!r}")
-        unknown = set(service_config) - {
-            "n_queues", "random_state", "estimator",
-            *_stream_keys(), *estimator_config_keys(), *_SERVICE_KEYS,
-        }
-        if unknown:
-            raise IngestError(
-                f"unknown service_config keys: {sorted(unknown)}"
-            )
-        # Validated eagerly; its COUNTS merge the partitions' sections.
-        self._estimator_cls = get_estimator(
-            service_config.get("estimator", "stem")
-        )
+        # Its COUNTS merge the partitions' estimator sections.
+        self._estimator_cls = get_estimator(config.estimator)
         self.n_partitions = int(n_partitions)
         self.block = int(block)
         self.checkpoint_dir = checkpoint_dir
         self.max_spool_records = int(max_spool_records)
         self.max_pending_records = int(max_pending_records)
         self.probe_interval = float(probe_interval)
-        seeds = as_seed_sequence(
-            service_config.get("random_state")
-        ).spawn(self.n_partitions)
+        seeds = as_seed_sequence(config.seed).spawn(self.n_partitions)
         self._partitions: list[_PartitionHandle] = []
         for i in range(self.n_partitions):
-            config = dict(service_config)
-            config["random_state"] = seeds[i]
             path = None
             if checkpoint_dir is not None:
                 path = os.path.join(checkpoint_dir, f"partition-{i}.ckpt")
             self._partitions.append(
-                _PartitionHandle(i, config, path, bytes(authkey),
+                _PartitionHandle(i, config, seeds[i], path, bytes(authkey),
                                  start_timeout)
             )
         # Routing state: which partition owns each task, plus records

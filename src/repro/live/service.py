@@ -38,14 +38,21 @@ import pickle
 import threading
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from repro import telemetry
-from repro.errors import IngestError
-from repro.live.stream import LiveTraceStream
-from repro.online import EstimatorConfig, StreamEstimatorProtocol, get_estimator
+from repro.errors import InferenceError, IngestError
+from repro.live.stream import LiveTraceStream, validate_stream_params
+from repro.online import (
+    ESTIMATORS,
+    EstimatorConfig,
+    StreamEstimatorProtocol,
+    estimator_config_keys,
+    get_estimator,
+)
 from repro.online.anomaly import detect_anomalies
+from repro.online.config import knob
 from repro.online.streaming import StreamEstimate
 from repro.online.windowed import WindowEstimate
 
@@ -61,6 +68,22 @@ ANOMALY_TAIL_WINDOWS = 64
 
 #: Renderings accepted by the ``metrics`` wire command.
 METRICS_FORMATS = ("snapshot", "json", "prometheus")
+
+#: The service's own options: what a checkpoint stores beside the stream
+#: and the estimator, and the only fields a restore may override.
+SERVICE_OPTIONS = ("checkpoint_every", "poll_interval", "anomaly_threshold")
+
+#: The commands that run a live stream (see ``knob``'s ``commands``).
+_LIVE = ("serve", "route")
+
+
+def validate_service_params(checkpoint_every: int, poll_interval: float) -> None:
+    """The service's parameter contract, shared by
+    :class:`EstimatorService` and :class:`ServiceConfig`."""
+    if checkpoint_every < 1:
+        raise IngestError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if poll_interval <= 0.0:
+        raise IngestError(f"poll_interval must be > 0, got {poll_interval}")
 
 
 def render_metrics_report(report: dict, fmt: str):
@@ -170,10 +193,7 @@ class EstimatorService:
         poll_interval: float = 0.25,
         anomaly_threshold: float = 4.0,
     ) -> None:
-        if checkpoint_every < 1:
-            raise IngestError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
+        validate_service_params(checkpoint_every, poll_interval)
         self.estimator = estimator
         self.stream = estimator.stream
         self.checkpoint_path = checkpoint_path
@@ -514,9 +534,7 @@ class EstimatorService:
                     "estimator": self.estimator.state_dict(),
                     "published": list(self._published),
                     "service": {
-                        "checkpoint_every": self.checkpoint_every,
-                        "poll_interval": self.poll_interval,
-                        "anomaly_threshold": self.anomaly_threshold,
+                        name: getattr(self, name) for name in SERVICE_OPTIONS
                     },
                     "ingest": {"n_seen": self.n_records_seen},
                 }
@@ -660,3 +678,92 @@ class EstimatorService:
             service._published, threshold=service.anomaly_threshold
         )
         return service
+
+
+@dataclass
+class ServiceConfig(EstimatorConfig):
+    """One live service's whole configuration, validated on construction.
+
+    Extends :class:`~repro.online.config.EstimatorConfig` with the
+    estimator's name and seed, the stream's fields (``n_queues``,
+    ``lateness``, ``max_pending``, ``retain``; see
+    :class:`~repro.live.stream.LiveTraceStream`) and the service's
+    (:data:`SERVICE_OPTIONS`).  The ``stream``, ``serve`` and ``route``
+    commands generate their flags from these fields; :meth:`build` is
+    the one place a stream, an estimator and a service are made from
+    them.
+    """
+
+    estimator: str = knob(
+        "estimator flavor: 'stem' reruns windowed StEM per window; 'smc' "
+        "advances a particle population per poll batch, with ESS-triggered "
+        "Gibbs rejuvenation", "stem", choices=tuple(ESTIMATORS),
+    )
+    seed: int = knob(
+        "estimation seed, spawned once per window; a router gives each "
+        "service its own child of it", 0,
+    )
+    n_queues: int | None = knob(
+        "queue count of the monitored network, including entry queue 0 "
+        "(required)", None, flag="--queues", type=int, commands=_LIVE,
+    )
+    lateness: float = knob(
+        "grace interval behind the watermark within which measurements "
+        "are still admitted; older ones are dropped as stragglers", 0.0,
+        commands=_LIVE,
+    )
+    max_pending: int = knob(
+        "buffered-record bound, per service, before ingestion backpressure",
+        100_000, commands=_LIVE,
+    )
+    retain: float | None = knob(
+        "retention horizon in trace clock units: finished tasks older than "
+        "the watermark minus this, and out of every future window's reach, "
+        "are folded into summary statistics and evicted; needs task ids "
+        "that ascend in entry order, otherwise every task is kept "
+        "(default: keep the full history)", None, type=float, commands=_LIVE,
+    )
+    checkpoint_every: int = knob(
+        "published windows between snapshots", 1, commands=_LIVE
+    )
+    anomaly_threshold: float = knob(
+        "robust z-score above which a window's rate shift is flagged", 4.0
+    )
+    poll_interval: float = knob(
+        "seconds between scheduling checks when the stream offers no "
+        "progress notification", 0.25, commands=(),
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        get_estimator(self.estimator)
+        self.check_estimator(self.estimator)
+        if self.seed < 0:
+            raise InferenceError(f"seed must be >= 0, got {self.seed}")
+        validate_stream_params(self.n_queues, self.lateness, self.max_pending, self.retain)
+        validate_service_params(self.checkpoint_every, self.poll_interval)
+
+    def make_estimator(self, stream, transport=None, random_state=None):
+        """This config's estimator over *stream*; *random_state*, when
+        given, replaces :attr:`seed` (a router passes each partition's
+        spawned child)."""
+        config = EstimatorConfig(
+            **{name: getattr(self, name) for name in estimator_config_keys()}
+        )
+        return get_estimator(self.estimator)(
+            stream, config=config, transport=transport,
+            random_state=self.seed if random_state is None else random_state,
+        )
+
+    def build(self, checkpoint_path: str | None = None,
+              random_state=None) -> EstimatorService:
+        """A live stream, this config's estimator over it, and the
+        service that drives them."""
+        stream = LiveTraceStream(
+            self.n_queues, self.lateness, self.max_pending, self.retain
+        )
+        return EstimatorService(
+            self.make_estimator(stream, random_state=random_state),
+            checkpoint_path,
+            **{name: getattr(self, name) for name in SERVICE_OPTIONS},
+        )

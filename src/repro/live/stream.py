@@ -100,6 +100,20 @@ def _bind_stream_gauges(stream: "LiveTraceStream") -> None:
         )
 
 
+def validate_stream_params(n_queues, lateness, max_pending, retain) -> None:
+    """The live stream's parameter contract, shared by
+    :class:`LiveTraceStream` and :class:`~repro.live.service.ServiceConfig`.
+    Each message starts with the parameter it rejects."""
+    if n_queues is None or n_queues < 2:
+        raise IngestError(f"n_queues must include queue 0 plus real queues, got {n_queues}")
+    if lateness < 0.0:
+        raise IngestError(f"lateness must be >= 0, got {lateness}")
+    if max_pending < 1:
+        raise IngestError(f"max_pending must be >= 1, got {max_pending}")
+    if retain is not None and retain < 0.0:
+        raise IngestError(f"retain must be >= 0 or None, got {retain}")
+
+
 @dataclass
 class CompactionSummary:
     """What compaction keeps of the tasks it folds away.
@@ -209,14 +223,7 @@ class LiveTraceStream(TraceStream):
         max_pending: int = 100_000,
         retain: float | None = None,
     ) -> None:
-        if n_queues < 2:
-            raise IngestError("n_queues must include queue 0 plus real queues")
-        if lateness < 0.0:
-            raise IngestError(f"lateness must be >= 0, got {lateness}")
-        if max_pending < 1:
-            raise IngestError(f"max_pending must be >= 1, got {max_pending}")
-        if retain is not None and retain < 0.0:
-            raise IngestError(f"retain must be >= 0 or None, got {retain}")
+        validate_stream_params(n_queues, lateness, max_pending, retain)
         self.n_queues = int(n_queues)
         self.lateness = float(lateness)
         self.max_pending = int(max_pending)

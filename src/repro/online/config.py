@@ -1,75 +1,93 @@
 """Shared estimator configuration: one dataclass, every construction path.
 
-Before this module existed the estimator knobs were a 13-kwarg signature
-copy-pasted across ``StreamingEstimator``, ``EstimatorService`` checkpoints,
-``IngestRouter`` key tuples, and two CLI call sites.  ``EstimatorConfig``
-is now the single source of truth: estimators hold one, checkpoints carry
-``dataclasses.asdict(config)``, the router filters its ``service_config``
-against :func:`estimator_config_keys`, and the CLI builds one instance and
-hands it to whichever estimator the ``--estimator`` flag names.
+``EstimatorConfig`` is the single source of truth for the estimator
+knobs: estimators hold one, checkpoints carry ``dataclasses.asdict
+(config)``, and :class:`repro.live.service.ServiceConfig` extends it with
+the stream and service fields the ``stream``/``serve``/``route`` commands
+generate their flags from.  Each field declares its default and its help
+text once (:func:`knob`).
 
 Validation lives in ``__post_init__`` so every path — keyword knobs, the
-``config=`` spelling, checkpoint restore, router service configs — rejects
-bad values with the same messages the old constructor raised.
+``config=`` spelling, checkpoint restore, a service config — rejects bad
+values with the same messages.  Every message starts with the name of the
+field it rejects, so the CLI can name the flag instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Mapping
 
 from repro.errors import InferenceError
-from repro.inference.gibbs import KERNELS
+from repro.inference.gibbs import BATCH_KERNELS, KERNELS
 from repro.online.windowed import validate_window_params
+
+
+def knob(help: str, default: Any = MISSING, **cli) -> Any:
+    """A config field declaring its default and its help text once.
+
+    *cli* refines the field's command-line flag (see :mod:`repro.cli`):
+    ``flag`` (default: ``--`` and the dashed name), ``type`` (default:
+    the default's type), ``choices``, and ``commands``, the subcommands
+    that take it (default: ``stream``, ``serve`` and ``route``; empty
+    for a field without a flag).
+    """
+    return field(default=default, metadata={"help": help, **cli})
 
 
 @dataclass
 class EstimatorConfig:
     """Every estimator knob, in one validated place.
 
-    ``window`` is the only required field.  ``step`` defaults to the
-    window (non-overlapping).  The StEM fields (``stem_iterations``,
-    ``shards``, ``shard_workers``) are ignored by the SMC estimator; the
-    SMC fields (``n_particles``, ``ess_threshold``,
-    ``rejuvenation_sweeps``) are ignored by StEM.  Both estimators honor
-    ``kernel``/``worker_retries`` and the window geometry.
-
-    Attributes
-    ----------
-    window / step / stem_iterations / min_observed_tasks:
-        As in :class:`~repro.online.windowed.WindowedEstimator`.
-    shards:
-        Sharded sweeps per window (clamped to each window's task count);
-        every window partitions its tasks from scratch.
-    shard_workers:
-        With ``shards > 1``: host the shard sweeps on this many worker
-        processes of one :class:`~repro.inference.shard.ShardWorkerPool`
-        that lives for the whole stream.  Results are bitwise identical
-        to in-process shards.
-    kernel:
-        Sweep kernel: ``"array"``, its JIT lowering ``"native"``, or
-        ``"object"`` (see :class:`~repro.inference.gibbs.GibbsSampler`).
-    worker_retries:
-        Times a window whose worker pool died under it is re-run on a
-        relaunched pool before its failure is recorded as data; a retry
-        re-derives its draws from the same per-window seed child.
-    n_particles / ess_threshold / rejuvenation_sweeps:
-        The SMC population size, its resampling trigger (a fraction of
-        ``n_particles``), and the Gibbs sweeps per rejuvenation.
+    ``window`` is the only required field.  The StEM fields
+    (``stem_iterations``, ``shards``, ``shard_workers``) are ignored by
+    the SMC estimator; the SMC fields (``n_particles``, ``ess_threshold``,
+    ``rejuvenation_sweeps``) are ignored by StEM.  Each field's metadata
+    holds its help text.
     """
 
-    window: float
-    step: float | None = None
-    stem_iterations: int = 40
-    min_observed_tasks: int = 3
-    shards: int = 1
-    shard_workers: int | None = None
-    kernel: str = "array"
-    worker_retries: int = 1
-    n_particles: int = 16
-    ess_threshold: float = 0.5
-    rejuvenation_sweeps: int = 1
+    window: float = knob(
+        "estimation window length in trace clock units", type=float
+    )
+    step: float | None = knob(
+        "window start spacing; below the window length, windows overlap "
+        "(default: the window length)", None, type=float,
+    )
+    stem_iterations: int = knob(
+        "StEM iterations per window", 40, flag="--iterations"
+    )
+    min_observed_tasks: int = knob(
+        "windows with fewer fully observed tasks are skipped", 3,
+        flag="--min-observed",
+    )
+    shards: int = knob(
+        "sharded sweeps per window, clamped to each window's task count; "
+        "more than one needs a batch kernel (array or native)", 1,
+    )
+    shard_workers: int | None = knob(
+        "host the shard sweeps on this many worker processes, one pool "
+        "for the whole stream, results identical at any count; needs more "
+        "than one shard (default: in-process)", None, type=int,
+    )
+    kernel: str = knob(
+        "sweep kernel: 'array' (vectorized conflict-free batches), "
+        "'native' (its JIT lowering; 'array' when numba is missing) or "
+        "'object' (the per-move scalar reference)", "array", choices=KERNELS,
+    )
+    worker_retries: int = knob(
+        "times a window whose shard worker pool died is re-run on a "
+        "relaunched pool, from the same seed, before its failure is "
+        "recorded as data", 1,
+    )
+    n_particles: int = knob("SMC particle count", 16, flag="--particles")
+    ess_threshold: float = knob(
+        "SMC resamples and rejuvenates when the effective sample size "
+        "falls below this fraction of the particle count", 0.5,
+    )
+    rejuvenation_sweeps: int = knob(
+        "SMC Gibbs sweeps per particle per rejuvenation", 1
+    )
 
     def __post_init__(self) -> None:
         validate_window_params(self.window, self.step, self.stem_iterations, self.shards)
@@ -82,11 +100,16 @@ class EstimatorConfig:
             raise InferenceError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
+        if self.shards > 1 and self.kernel not in BATCH_KERNELS:
+            raise InferenceError(
+                f"shards > 1 needs a batch kernel {BATCH_KERNELS}, got "
+                f"kernel {self.kernel!r}"
+            )
         if self.shard_workers is not None:
             self.shard_workers = int(self.shard_workers)
             if self.shard_workers < 1:
                 raise InferenceError(
-                    f"need at least one shard worker, got {self.shard_workers}"
+                    f"shard_workers must be >= 1, got {self.shard_workers}"
                 )
             if self.shards == 1:
                 raise InferenceError(
@@ -101,7 +124,8 @@ class EstimatorConfig:
         self.n_particles = int(self.n_particles)
         if self.n_particles < 2:
             raise InferenceError(
-                f"need at least two particles, got {self.n_particles}"
+                "n_particles must be >= 2 (at least two particles), "
+                f"got {self.n_particles}"
             )
         self.ess_threshold = float(self.ess_threshold)
         if not 0.0 < self.ess_threshold <= 1.0:
@@ -111,8 +135,17 @@ class EstimatorConfig:
         self.rejuvenation_sweeps = int(self.rejuvenation_sweeps)
         if self.rejuvenation_sweeps < 1:
             raise InferenceError(
-                "need at least one rejuvenation sweep per trigger, "
-                f"got {self.rejuvenation_sweeps}"
+                "rejuvenation_sweeps must be >= 1 (at least one rejuvenation "
+                f"sweep per trigger), got {self.rejuvenation_sweeps}"
+            )
+
+    def check_estimator(self, name: str) -> None:
+        """The rule that depends on which estimator runs this config: SMC
+        rejuvenates in-process, so it takes no sharding."""
+        if name == "smc" and (self.shards > 1 or self.shard_workers is not None):
+            raise InferenceError(
+                "estimator 'smc' rejuvenates every particle in-process on "
+                "one shared kernel; drop shards/shard_workers or use stem"
             )
 
     def as_dict(self) -> dict:
@@ -131,16 +164,6 @@ class EstimatorConfig:
                 f"missing {sorted(missing)}, unknown {sorted(unknown)}"
             )
         return cls(**config)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "EstimatorConfig":
-        """Build from a loose mapping, ignoring keys that are not fields.
-
-        The router's ``service_config`` mixes estimator, stream, and
-        service keys in one flat dict; this picks out ours.
-        """
-        names = {field.name for field in fields(cls)}
-        return cls(**{k: v for k, v in dict(mapping).items() if k in names})
 
 
 def estimator_config_keys() -> tuple[str, ...]:

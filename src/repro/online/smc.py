@@ -157,13 +157,7 @@ class SMCEstimator(StreamingEstimator):
     )
 
     def __init__(self, stream, **kwargs) -> None:
-        super().__init__(stream, **kwargs)
-        if self.shards != 1 or self.shard_workers:
-            raise InferenceError(
-                "the SMC estimator rejuvenates every particle in-process "
-                "on one shared kernel; sharded sweeps are not supported — "
-                "drop shards/shard_workers or use the stem estimator"
-            )
+        super().__init__(stream, **kwargs)  # rejects sharding (the config's rule)
         # Particle state.  θ lives in a (n_particles, n_queues) array —
         # None until the first estimable window sizes it from the trace.
         self._thetas: np.ndarray | None = None

@@ -213,6 +213,7 @@ class StreamingEstimator:
             raise InferenceError(
                 "pass either config= or the individual knobs, not both"
             )
+        config.check_estimator(self.estimator_name)
         #: The estimator's validated configuration (single source of truth;
         #: the knob attributes below are read-only views into it).
         self.config = config

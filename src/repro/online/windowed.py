@@ -75,7 +75,8 @@ def validate_window_params(
     window: float, step: float | None, stem_iterations: int, shards: int
 ) -> None:
     """The window-estimation parameter contract, shared by the windowed
-    and streaming estimators so the two can never drift apart."""
+    and streaming estimators so the two can never drift apart.  Each
+    message starts with the parameter it rejects."""
     if window <= 0.0:
         raise InferenceError(f"window must be positive, got {window}")
     if step is not None and step <= 0.0:
@@ -84,10 +85,10 @@ def validate_window_params(
         # Rejected here, not per window: otherwise run_stem's own
         # validation error would be misread as every window failing.
         raise InferenceError(
-            f"need at least one StEM iteration, got {stem_iterations}"
+            f"stem_iterations must be >= 1, got {stem_iterations}"
         )
     if shards < 1:
-        raise InferenceError(f"need at least one shard, got {shards}")
+        raise InferenceError(f"shards must be >= 1, got {shards}")
 
 
 def task_fully_observed(trace: ObservedTrace, task_id: int) -> bool:

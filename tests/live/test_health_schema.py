@@ -26,6 +26,7 @@ from repro.live import (
     LiveClient,
     LiveServer,
     LiveTraceStream,
+    ServiceConfig,
     replay_batches,
 )
 from repro.network import build_tandem_network
@@ -88,14 +89,10 @@ def service_replies():
 def router_replies():
     """(health, metrics replies) from a driven two-partition tier."""
     trace, horizon = make_trace()
-    config = {
-        "n_queues": trace.skeleton.n_queues,
-        "window": horizon / 2,
-        "stem_iterations": 6,
-        "min_observed_tasks": 2,
-        "random_state": 5,
-        "poll_interval": 0.02,
-    }
+    config = ServiceConfig(
+        n_queues=trace.skeleton.n_queues, window=horizon / 2,
+        stem_iterations=6, min_observed_tasks=2, seed=5, poll_interval=0.02,
+    )
     with telemetry.isolated(enabled=True):
         with IngestRouter(2, config, block=8) as router:
             for watermark, batch in replay_batches(trace, batch_tasks=32):
@@ -300,17 +297,11 @@ def series_value(snapshot, name, **labels):
 
 
 def contract_config(trace, horizon):
-    return {
-        "n_queues": trace.skeleton.n_queues,
-        "window": horizon / 4,
-        "step": horizon / 8,
-        "estimator": "smc",
-        "stem_iterations": 6,
-        "min_observed_tasks": 2,
-        "n_particles": 8,
-        "random_state": 5,
-        "poll_interval": 0.02,
-    }
+    return ServiceConfig(
+        n_queues=trace.skeleton.n_queues, window=horizon / 4,
+        step=horizon / 8, estimator="smc", stem_iterations=6,
+        min_observed_tasks=2, n_particles=8, seed=5, poll_interval=0.02,
+    )
 
 
 def ship(client, trace, case, part=slice(None)):
@@ -366,16 +357,9 @@ def service_owners(service, server):
 def run_service(case, workdir, enabled=True):
     """Drive one EstimatorService behind a LiveServer through *case*."""
     trace, horizon = make_trace()
-    config = contract_config(trace, horizon)
     path = os.path.join(workdir, "service.ckpt")
     with telemetry.isolated(enabled=enabled):
-        stream = LiveTraceStream(n_queues=config.pop("n_queues"))
-        config.pop("estimator")
-        poll_interval = config.pop("poll_interval")
-        estimator = SMCEstimator(stream, **config)
-        service = EstimatorService(
-            estimator, checkpoint_path=path, poll_interval=poll_interval
-        )
+        service = contract_config(trace, horizon).build(path)
         with service, LiveServer(service) as server:
             knock_with_the_wrong_key(server.address)
             with LiveClient(server.address) as client:

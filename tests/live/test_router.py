@@ -26,6 +26,7 @@ from repro.live import (
     IngestRouter,
     LiveClient,
     LiveServer,
+    ServiceConfig,
     entry_partition,
     rebase_slot,
     replay_batches,
@@ -45,15 +46,10 @@ def make_trace(n_tasks=150, seed=3, fraction=0.3):
 
 
 def tier_config(trace, horizon, windows=2, **extra):
-    config = {
-        "n_queues": trace.skeleton.n_queues,
-        "window": horizon / windows,
-        "stem_iterations": 6,
-        "random_state": 5,
-        "poll_interval": 0.02,
-    }
-    config.update(extra)
-    return config
+    return ServiceConfig(
+        n_queues=trace.skeleton.n_queues, window=horizon / windows,
+        stem_iterations=6, seed=5, poll_interval=0.02, **extra,
+    )
 
 
 def drive(target, trace, batch_tasks=16, kill_at=None, router=None,
@@ -115,15 +111,16 @@ class TestPartitionMath:
 
     def test_config_validation(self):
         with pytest.raises(IngestError, match="n_queues"):
-            IngestRouter(2, {"window": 5.0})
-        with pytest.raises(IngestError, match="window"):
-            IngestRouter(2, {"n_queues": 3})
-        with pytest.raises(IngestError, match="unknown service_config"):
-            IngestRouter(2, {"n_queues": 3, "window": 5.0, "wibble": 1})
+            ServiceConfig(window=5.0)
+        with pytest.raises(TypeError, match="window"):
+            ServiceConfig(n_queues=3)
+        with pytest.raises(TypeError, match="wibble"):
+            ServiceConfig(n_queues=3, window=5.0, wibble=1)
+        config = ServiceConfig(n_queues=3, window=5.0)
         with pytest.raises(IngestError, match="at least one"):
-            IngestRouter(0, {"n_queues": 3, "window": 5.0})
+            IngestRouter(0, config)
         with pytest.raises(IngestError, match="block"):
-            IngestRouter(2, {"n_queues": 3, "window": 5.0}, block=0)
+            IngestRouter(2, config, block=0)
 
 
 class TestTierEndToEnd:

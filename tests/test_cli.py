@@ -1,8 +1,58 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
+import re
+import socket
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import (
+    CONFIG_COMMANDS,
+    FLAGS,
+    _build_parser,
+    main,
+    render_config_table,
+)
+from repro.live import LiveClient, ServiceConfig
+from repro.live.service import SERVICE_OPTIONS
+from repro.online import estimator_config_keys
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def free_port():
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+def simulate_tandem(path, tasks=120):
+    main([
+        "simulate", "--topology", "tandem", "--tasks", str(tasks),
+        "--arrival-rate", "4", "--service-rate", "8",
+        "--servers", "1", "2", "--seed", "3", "--out", str(path),
+    ])
+
+
+def subparser(command):
+    sub = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[command]
+
+
+def valid_value(name):
+    """A value field *name*'s flag parses (its last choice, else 2)."""
+    field = next(f for f in dataclasses.fields(ServiceConfig) if f.name == name)
+    choices = field.metadata.get("choices")
+    return choices[-1] if choices else "2"
 
 
 class TestSimulate:
@@ -174,13 +224,7 @@ class TestStream:
 
 class TestServeIngest:
     def _free_port(self):
-        import socket
-
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        return port
+        return free_port()
 
     def test_serve_and_ingest_round_trip(self, tmp_path, capsys):
         import threading
@@ -239,6 +283,29 @@ class TestServeIngest:
             main(["serve", "--restore", "x.ckpt", "--kernel", "native"])
         with pytest.raises(SystemExit, match="cannot restore"):
             main(["serve", "--restore", "/nonexistent/x.ckpt"])
+
+    #: Every field a checkpoint fixes: the stream's and the estimator's.
+    FROZEN = (
+        "n_queues", "window", "step", "stem_iterations", "min_observed_tasks",
+        "seed", "shards", "shard_workers", "kernel", "lateness",
+        "max_pending", "retain", "estimator", "n_particles",
+        "ess_threshold", "rejuvenation_sweeps", "worker_retries",
+    )
+
+    def test_frozen_fields_are_every_flag_but_the_service_options(self):
+        assert set(self.FROZEN) == set(FLAGS) - set(SERVICE_OPTIONS)
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_restore_rejects_every_frozen_flag(self, name):
+        flag = FLAGS[name]
+        with pytest.raises(SystemExit, match=f"--restore resumes .*{flag}"):
+            main(["serve", "--restore", "x.ckpt", flag, valid_value(name)])
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-every", "--anomaly-threshold"])
+    def test_restore_accepts_the_service_options(self, flag):
+        # Past the frozen-flag check, into the restore itself.
+        with pytest.raises(SystemExit, match="cannot restore"):
+            main(["serve", "--restore", "/nonexistent/x.ckpt", flag, "2"])
 
     def test_serve_restore_rejects_a_record_log_checkpoint(self, tmp_path):
         """A checkpoint whose stream snapshot is version 2 (finalized tasks
@@ -352,6 +419,128 @@ class TestServeIngest:
         with pytest.raises(SystemExit, match="cannot connect"):
             main(["top", "--connect", f"127.0.0.1:{self._free_port()}",
                   "--once"])
+
+
+class TestRoute:
+    def test_route_and_ingest_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        simulate_tandem(out)
+        capsys.readouterr()
+        port = free_port()
+        codes = {}
+
+        def ingest():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 1.0).close()
+                    break
+                except OSError:
+                    time.sleep(0.1)
+            try:
+                codes["ingest"] = main([
+                    "ingest", str(out), "--connect", f"127.0.0.1:{port}",
+                    "--authkey", "test-key", "--observe", "0.3",
+                    "--wait", "--shutdown",
+                ])
+            except BaseException as exc:  # unblock the tier, then report
+                codes["ingest"] = exc
+                with LiveClient(("127.0.0.1", port), authkey=b"test-key") as c:
+                    c.shutdown()
+
+        thread = threading.Thread(target=ingest, daemon=True)
+        thread.start()
+        # The tier runs in the main thread, so its partitions fork from it.
+        codes["route"] = main([
+            "route", "--services", "2", "--queues", "3", "--window", "12",
+            "--iterations", "6", "--port", str(port), "--authkey", "test-key",
+        ])
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert codes == {"route": 0, "ingest": 0}
+        text = capsys.readouterr().out
+        assert "repro routing tier (2 services) listening on" in text
+        assert "published window estimates" in text
+        served = re.search(r"served (\d+) windows .* across 2 services", text)
+        assert served and int(served.group(1)) > 0
+
+    def test_route_validation(self):
+        with pytest.raises(SystemExit, match="--services"):
+            main(["route", "--services", "0", "--queues", "3", "--window", "12"])
+        with pytest.raises(SystemExit, match="--block"):
+            main(["route", "--block", "0", "--queues", "3", "--window", "12"])
+        with pytest.raises(SystemExit, match="--queues and --window"):
+            main(["route", "--window", "12"])
+
+
+#: Bad config values, each with the flag its error must name.
+BAD_CONFIG = [
+    (["--lateness", "-1"], "--lateness"),
+    (["--max-pending", "0"], "--max-pending"),
+    (["--checkpoint-every", "0"], "--checkpoint-every"),
+    (["--queues", "1"], "--queues"),
+    (["--iterations", "0"], "--iterations"),
+    (["--estimator", "smc", "--particles", "1"], "--particles"),
+    # The four cross-field rules, stated once in the config.
+    (["--shards", "0"], "--shards"),
+    (["--shard-workers", "2"], "--shard-workers"),
+    (["--shards", "2", "--kernel", "object"], "--shards"),
+    (["--estimator", "smc", "--shards", "2"], "--estimator"),
+]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("flags,flag", BAD_CONFIG)
+    def test_serve_rejects_bad_config_naming_the_flag(self, flags, flag):
+        with pytest.raises(SystemExit, match=f"^{flag} "):
+            main(["serve", "--queues", "3", "--window", "1", *flags])
+
+    @pytest.mark.parametrize("flags,flag", BAD_CONFIG)
+    def test_route_rejects_bad_config_before_any_process(
+        self, flags, flag, monkeypatch
+    ):
+        from repro.live import router
+
+        spawned = []
+        monkeypatch.setattr(
+            router._PartitionHandle, "spawn",
+            lambda handle, restore: spawned.append(handle.index),
+        )
+        with pytest.raises(SystemExit, match=f"^{flag} "):
+            main(["route", "--queues", "3", "--window", "1", *flags])
+        assert spawned == []
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_every_config_flag_comes_from_its_field(self, command):
+        by_name = {f.name: f for f in dataclasses.fields(ServiceConfig)}
+        taken = {
+            name for name, f in by_name.items()
+            if command in f.metadata.get("commands", CONFIG_COMMANDS)
+        }
+        actions = subparser(command)._actions
+        # One action per field the command takes, and no other action
+        # spells a config flag.
+        assert sorted(a.dest for a in actions if a.dest in by_name) == sorted(taken)
+        for action in actions:
+            if set(action.option_strings) & set(FLAGS.values()):
+                assert action.dest in by_name
+        for action in (a for a in actions if a.dest in by_name):
+            field = by_name[action.dest]
+            assert action.option_strings == [FLAGS[action.dest]]
+            assert action.default is argparse.SUPPRESS
+            assert action.help.startswith(field.metadata["help"])
+            if field.default not in (None, dataclasses.MISSING):
+                assert action.help.endswith(f"(default: {field.default})")
+        assert set(estimator_config_keys()) <= taken
+        assert {"estimator", "seed", "anomaly_threshold"} <= taken
+        assert "poll_interval" not in taken
+
+    def test_readme_config_table_matches_the_fields(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert readme.count(render_config_table()) == 1, (
+            "README Configuration table out of sync with ServiceConfig; "
+            "paste repro.cli.render_config_table()"
+        )
 
 
 class TestArgumentErrors:

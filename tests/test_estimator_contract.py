@@ -114,6 +114,11 @@ class TestEstimatorConfig:
         # Legacy validations stay word-for-word where tests pin them.
         with pytest.raises(InferenceError, match="kernel"):
             EstimatorConfig(window=1.0, kernel="simd")
+        # A config error, not a stream of failed windows: sharded sweeps
+        # need a batch kernel.
+        with pytest.raises(InferenceError, match="batch kernel"):
+            EstimatorConfig(window=10.0, shards=2, kernel="object")
+        EstimatorConfig(window=10.0, shards=2, kernel="native")
 
     def test_from_state_rejects_missing_and_unknown_keys(self):
         state = EstimatorConfig(window=2.0).as_dict()

@@ -32,21 +32,9 @@ def test_fig5_webapp_estimates(benchmark, scale_label):
     )
 
     n_queues = len(result.queue_names)
-    for panel, series, truth in (
-        ("service", result.service, result.true_service),
-        ("waiting", result.waiting, result.true_waiting),
-    ):
-        headers = ["queue", "events", *(f"{f:.0%}" for f in result.fractions), "truth"]
-        rows = []
-        for q in range(1, n_queues):
-            rows.append((
-                result.queue_names[q],
-                int(result.requests_per_queue[q]),
-                *(float(series[f][q]) for f in result.fractions),
-                float(truth[q]),
-            ))
+    for panel in ("service", "waiting"):
         print(render_table(
-            headers, rows,
+            *result.table(panel),
             title=f"\n=== Figure 5 {panel} estimates ({scale_label}) ===",
         ))
 

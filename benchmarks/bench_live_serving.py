@@ -28,7 +28,6 @@ throughput clears a deliberately loose floor; regressions come from the
 assertions.
 """
 
-import json
 import os
 import pickle
 import threading
@@ -44,7 +43,7 @@ from repro.observation import TaskSampling
 from repro.online import StreamingEstimator
 from repro.webapp import WebAppConfig, generate_webapp_trace
 
-from conftest import full_scale, host
+from conftest import full_scale, merge_result
 
 #: Tracked result file: the committed trajectory of these measurements.
 RESULT_PATH = Path(__file__).parent / "results" / "live.json"
@@ -56,27 +55,6 @@ MIN_RECORDS_PER_SECOND = 100.0
 #: The steady-state tail may be this much slower than the warm early
 #: batches — far inside any O(history) trend, far outside timer noise.
 MAX_TAIL_TO_WARM_RATIO = 4.0
-
-
-def merge_result(key: str, payload: dict) -> None:
-    """Merge one benchmark's result into :data:`RESULT_PATH`.
-
-    Both tests in this module report into the same file; each owns a
-    top-level key so whichever runs second doesn't clobber the first.
-    """
-    data: dict = {}
-    if RESULT_PATH.exists():
-        try:
-            data = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            data = {}
-    data[key] = {
-        **payload,
-        "scale": "full" if full_scale() else "reduced",
-        "host": host(),
-    }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_live_serving_throughput_and_latency(benchmark):
@@ -191,7 +169,7 @@ def test_live_serving_throughput_and_latency(benchmark):
         "publish_latency_max_seconds": float(np.max(latencies)),
         "windows_ok": len(ok),
     }
-    merge_result("live_serving", result)
+    merge_result(RESULT_PATH, "live_serving", result)
     print(f"wrote {RESULT_PATH}")
     # Acceptance: every shipped record made it in (the racing watermarks
     # really were harmless), the service drained the whole grid, estimated
@@ -289,7 +267,7 @@ def test_steady_state_compaction_memory_and_latency(benchmark):
     print(f"\n=== Live serving: steady-state compaction "
           f"({n_batches} windows, retain={retain:.0f}) ===")
     print(render_table(["metric", "value"], rows))
-    merge_result("steady_state_compaction", {
+    merge_result(RESULT_PATH, "steady_state_compaction", {
         "n_records": int(3 * n_batches * batch),
         "n_windows": int(n_batches),
         "retain": retain,

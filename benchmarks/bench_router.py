@@ -14,8 +14,7 @@ sides of that claim on one host:
   (routing decision + spool + forwarded-frame pickling) micro-measured
   in isolation: its inverse bounds any N;
 * **modeled aggregate at N=4** — ``min(4 x T1, router capacity)`` from
-  the two measured numbers, the same honest-on-one-box methodology as
-  ``bench_shard_scaling.py``: a CI runner with a couple of cores cannot
+  the two measured numbers: a CI runner with a couple of cores cannot
   time-share 5 busy processes into a real 4x, so the wall-clock tier
   numbers are reported (and asserted only with >= 5 cpus) while the
   acceptance gate — modeled aggregate scaling at N=4 must clear

@@ -204,7 +204,6 @@ def test_kernel_native_speedup(benchmark):
                     sampler.sweep()
                     times.append(time.perf_counter() - t0)
                 per_kernel[kernel] = float(np.median(times))
-                sampler.close()
             out.append((n, trace.n_latent, per_kernel))
         return out
 

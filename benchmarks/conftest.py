@@ -8,9 +8,11 @@ for Figure 5).  Every benchmark prints a paper-vs-measured comparison.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,28 @@ def host() -> dict:
         "numpy": np.__version__,
         "numba": capability["numba_version"] if capability["available"] else None,
     }
+
+
+def merge_result(path: Path, key: str, payload: dict) -> None:
+    """Merge one benchmark's result into the tracked JSON file *path*.
+
+    Several tests report into one file; each owns a top-level *key*, so
+    whichever runs second does not clobber the first.  The scale and the
+    host ride along with every result.
+    """
+    data: dict = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            data = {}
+    data[key] = {
+        **payload,
+        "scale": "full" if full_scale() else "reduced",
+        "host": host(),
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -88,7 +88,7 @@ def main() -> None:
                       f"{est['t_end']:7.1f})  {est['n_tasks']:>5}  "
                       f"{services}{flag}")
     service.stop()
-    print("\nserver closed, worker pool drained — done")
+    print("\nserver closed, service stopped — done")
 
 
 if __name__ == "__main__":

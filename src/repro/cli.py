@@ -8,9 +8,9 @@ infer
     Load a trace, censor it to a task-sampled observation rate, run StEM +
     Gibbs, and print parameter estimates plus a bottleneck report.
 stream
-    Replay a trace as an online stream: sliding-window StEM (optionally
-    sharded over one stream-long worker pool), printing the per-window
-    rate series and any anomalies it reveals.
+    Replay a trace as an online stream: sliding-window StEM (or the SMC
+    particle filter), printing the per-window rate series and any
+    anomalies it reveals.
 serve
     Run the live estimation service: a TCP ingestion + query server
     feeding a LiveTraceStream into the streaming estimator, publishing
@@ -21,7 +21,7 @@ ingest
     for what a real reporting agent would ship.
 top
     Live ops console for a running `repro serve` or `repro route`
-    instance: rate/utilization sparklines, phase-latency bars, worker
+    instance: rate/utilization sparklines, phase-latency bars, partition
     liveness, and stream counters, refreshed in place.
 experiment
     Run a reduced-scale version of one of the paper's experiments
@@ -53,7 +53,6 @@ from repro.inference import (
     estimate_posterior,
     run_stem,
 )
-from repro.inference.transport import PipeTransport, SocketTransport
 from repro.live import (
     DEFAULT_AUTHKEY,
     DEFAULT_BLOCK,
@@ -193,14 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "path)",
     )
     inf.add_argument(
-        "--shards", type=int, default=1,
-        help="partition each chain's sweep across this many task shards "
-        "(interior moves sweep per shard, only boundary events are "
-        "exchanged between super-steps; same posterior, shards=1 is the "
-        "plain kernel); combine with --persistent-workers to distribute "
-        "one chain's shards across worker processes",
-    )
-    inf.add_argument(
         "--persistent-workers", type=int, default=None,
         help="fan StEM E-step chains out over this many persistent worker "
         "processes that keep chain state resident across EM iterations "
@@ -221,11 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--windows", type=int, default=8,
         help="number of tumbling windows the trace horizon is split into "
         "(ignored when --window is given)",
-    )
-    stream.add_argument(
-        "--transport", choices=["pipe", "socket"], default="pipe",
-        help="worker transport: OS pipes (default) or loopback TCP "
-        "sockets — the same wire protocol remote workers would speak",
     )
     _add_config_flags(stream, "stream")
 
@@ -415,13 +401,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         )
     if args.persistent_workers is not None and args.persistent_workers < 1:
         raise SystemExit("--persistent-workers must be at least 1")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.shards > 1 and args.kernel not in ("array", "native"):
-        raise SystemExit(
-            "--shards requires the array kernel or its native lowering "
-            "(drop --kernel object)"
-        )
     if args.persistent_workers and args.chains == 1:
         print(
             "note: --persistent-workers with a single chain moves the one "
@@ -431,14 +410,13 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     stem = run_stem(
         trace, n_iterations=args.iterations, random_state=args.seed,
         init_method="heuristic", n_chains=args.chains, kernel=args.kernel,
-        persistent_workers=args.persistent_workers, shards=args.shards,
+        persistent_workers=args.persistent_workers,
     )
     print(f"\nestimated arrival rate lambda = {stem.arrival_rate:.4g}")
     if args.chains > 1:
         multi = MultiChainSampler(
             trace, rates=stem.rates, n_chains=args.chains,
             random_state=args.seed + 1, kernel=args.kernel,
-            shards=args.shards,
         ).collect(n_samples=25, thin=1, burn_in=10, workers=args.workers)
         posterior = PosteriorSummary.from_samples(stem.rates, multi.pooled())
         r_hat = multi.split_r_hat("waiting")
@@ -484,15 +462,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     source = ReplayTraceStream(trace)
     values.setdefault("window", source.horizon / args.windows)
     config = _config({**values, "n_queues": events.n_queues})
-    if args.transport != "pipe" and config.shard_workers is None:
-        raise SystemExit(
-            "--transport selects the worker transport; pass --shard-workers "
-            "(with --shards > 1) or drop it"
-        )
     print(trace.summary())
-    transport = SocketTransport() if args.transport == "socket" else PipeTransport()
-    # run() closes the pool and the owned transport.
-    windows = config.make_estimator(source, transport=transport).run()
+    windows = config.make_estimator(source).run()
     rows = []
     for i, est in enumerate(windows):
         services = (
@@ -502,10 +473,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
         rows.append((
             i, f"{est.t_start:.1f}", f"{est.t_end:.1f}", est.n_tasks,
-            est.n_observed_tasks, est.n_shards, services,
+            est.n_observed_tasks, services,
         ))
     print(render_table(
-        ["win", "t0", "t1", "tasks", "obs", "shards", "mean service (q1..)"],
+        ["win", "t0", "t1", "tasks", "obs", "mean service (q1..)"],
         rows, title="\nstreaming window estimates",
     ))
     reports = detect_anomalies(windows, threshold=config.anomaly_threshold)
@@ -742,14 +713,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             ))
     elif args.which == "fig5":
         result = run_fig5(quick_fig5_config(), random_state=args.seed)
-        headers = ["queue", *(f"{f:.0%}" for f in result.fractions), "truth"]
-        rows = [
-            (result.queue_names[q],
-             *(f"{result.service[f][q]:.4g}" for f in result.fractions),
-             f"{result.true_service[q]:.4g}")
-            for q in range(1, len(result.queue_names))
-        ]
-        print(render_table(headers, rows, title="\nFigure 5 (service estimates)"))
+        print(render_table(
+            *result.table("service"), title="\nFigure 5 (service estimates)"
+        ))
     else:
         comparison = run_variance_comparison(quick_fig4_config(), random_state=args.seed)
         print(render_table(

@@ -18,7 +18,6 @@ joint density of Eq. 1) as vectorized reductions.
 from repro.events.event_set import EventSet
 from repro.events.subset import (
     SubsetIndex,
-    merge_task_subsets,
     subset_tasks,
     subset_trace,
 )
@@ -34,7 +33,6 @@ from repro.events.serialization import (
 __all__ = [
     "EventSet",
     "SubsetIndex",
-    "merge_task_subsets",
     "subset_tasks",
     "subset_trace",
     "event_set_to_records",

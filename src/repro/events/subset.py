@@ -1,26 +1,20 @@
-"""Extracting and recombining task subsets of an event set.
+"""Extracting task subsets of an event set.
 
-Windowed/online estimation re-runs inference on the tasks inside a time
-window, and the sharded sweep engine (:mod:`repro.inference.shard`)
-partitions a large trace into per-shard sub-traces.  This module restricts
-an event set (possibly censored, with nan times) to a task subset while
-preserving the frozen per-queue arrival order — the information that
-survives censoring — and provides the inverse operation,
-:func:`merge_task_subsets`, which stitches the subsets of a disjoint task
-partition back into the original event set.
+Windowed and online estimation re-run inference on the tasks inside a
+time window.  This module restricts an event set (possibly censored,
+with nan times) to a task subset while preserving the frozen per-queue
+arrival order — the information that survives censoring.
 
 Note the approximation inherent in windowing: dropping out-of-window
 tasks removes their events from the within-queue predecessor chains, so
 waiting caused by cross-window neighbors is attributed differently than
 in the full trace.  This is the standard trade-off of windowed analysis;
-edge effects shrink as the window grows.  Sharded inference avoids this
-approximation entirely by keeping cross-shard neighbor events around as
-frozen boundary state.
+edge effects shrink as the window grows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -166,105 +160,3 @@ def subset_trace(
         arrival_observed=trace.arrival_observed[kept],
         departure_observed=trace.departure_observed[kept],
     )
-
-
-def merge_task_subsets(
-    parts: Sequence[tuple[EventSet, np.ndarray]],
-) -> EventSet:
-    """Recombine the subsets of a disjoint task partition (inverse of
-    :func:`subset_tasks`).
-
-    Parameters
-    ----------
-    parts:
-        ``(subset, kept)`` pairs as returned by :func:`subset_tasks`, one
-        per block of a partition of the original tasks.  The ``kept``
-        maps must jointly cover ``0 .. n_events - 1`` exactly once.
-
-    Returns
-    -------
-    EventSet
-        An event set equal to the original: columns are scattered back
-        through the ``kept`` maps and each queue's order is rebuilt by a
-        k-way merge of the per-part orders under the same
-        ``(arrival, departure, task, seq)`` sort key the constructor
-        uses.  The merge reproduces the original order exactly whenever
-        sort keys are unique across parts (always true for simulated
-        traces, whose clock times are distinct); exact cross-part ties
-        fall back to the constructor's deterministic tie-breaking.
-
-    Raises
-    ------
-    InvalidEventSetError
-        If the kept maps overlap or leave gaps (not a partition), or if
-        any time is nan: a censored skeleton's *frozen* queue orders
-        cannot be reconstructed by sorting time values, so merging is
-        only defined for complete event sets (merge the initialized or
-        ground-truth state, not the censored view).
-    """
-    parts = list(parts)
-    if not parts:
-        raise InvalidEventSetError("cannot merge an empty list of subsets")
-    kept_all = np.concatenate([np.asarray(kept, dtype=np.int64) for _, kept in parts])
-    n = kept_all.size
-    if np.unique(kept_all).size != n or kept_all.min() != 0 or kept_all.max() != n - 1:
-        raise InvalidEventSetError(
-            "kept maps must partition the original events exactly once"
-        )
-    n_queues = parts[0][0].n_queues
-    if any(subset.n_queues != n_queues for subset, _ in parts):
-        raise InvalidEventSetError("subsets disagree on n_queues")
-    task = np.empty(n, dtype=np.int64)
-    seq = np.empty(n, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    arrival = np.empty(n, dtype=float)
-    departure = np.empty(n, dtype=float)
-    state = np.empty(n, dtype=np.int64)
-    for subset, kept in parts:
-        kept = np.asarray(kept, dtype=np.int64)
-        task[kept] = subset.task
-        seq[kept] = subset.seq
-        queue[kept] = subset.queue
-        arrival[kept] = subset.arrival
-        departure[kept] = subset.departure
-        state[kept] = subset.state
-    if np.any(np.isnan(arrival)) or np.any(np.isnan(departure)):
-        raise InvalidEventSetError(
-            "cannot merge censored subsets: nan times make the frozen "
-            "queue orders unrecoverable by sorting — merge complete "
-            "(initialized or ground-truth) event sets only"
-        )
-    queue_order: list[np.ndarray] = []
-    for q in range(n_queues):
-        streams = [
-            np.asarray(kept, dtype=np.int64)[subset.queue_order(q)]
-            for subset, kept in parts
-        ]
-        queue_order.append(_merge_orders(streams, arrival, departure, task, seq))
-    return EventSet(
-        task=task,
-        seq=seq,
-        queue=queue,
-        arrival=arrival,
-        departure=departure,
-        n_queues=n_queues,
-        state=state,
-        queue_order=queue_order,
-    )
-
-
-def _merge_orders(
-    streams: list[np.ndarray],
-    arrival: np.ndarray,
-    departure: np.ndarray,
-    task: np.ndarray,
-    seq: np.ndarray,
-) -> np.ndarray:
-    """K-way merge of already-ordered event streams by the constructor's
-    ``(arrival, departure, task, seq)`` lexicographic key."""
-    populated = [s for s in streams if s.size]
-    if not populated:  # a queue no kept task ever visited
-        return np.empty(0, dtype=np.int64)
-    merged = np.concatenate(populated)
-    keys = np.lexsort((seq[merged], task[merged], departure[merged], arrival[merged]))
-    return merged[keys].astype(np.int64)

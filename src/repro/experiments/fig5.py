@@ -54,8 +54,9 @@ class Fig5Result:
     """Estimate series per queue and observed fraction.
 
     ``service[f][q]`` / ``waiting[f][q]`` hold the estimates at observed
-    fraction ``f``; ``requests_per_queue`` counts ground-truth events so
-    the starved server can be identified.
+    fraction ``f`` (nan for a queue with no events, which has nothing to
+    estimate); ``requests_per_queue`` counts ground-truth events so the
+    starved server can be identified.
     """
 
     queue_names: tuple[str, ...]
@@ -83,6 +84,25 @@ class Fig5Result:
         ]
         return float(np.max(vals) - np.min(vals))
 
+    def table(self, panel: str = "service") -> tuple[list[str], list[tuple]]:
+        """Headers and rows of one Figure-5 panel (``"service"`` or
+        ``"waiting"``): per queue, its event count, the estimate at every
+        fraction and the truth.  A queue with no events reads "no data"."""
+        series = self.service if panel == "service" else self.waiting
+        truth = self.true_service if panel == "service" else self.true_waiting
+
+        def cell(value) -> float | str:
+            return float(value) if np.isfinite(value) else "no data"
+
+        headers = ["queue", "events", *(f"{f:.0%}" for f in self.fractions),
+                   "truth"]
+        rows = [
+            (self.queue_names[q], int(self.requests_per_queue[q]),
+             *(cell(series[f][q]) for f in self.fractions), cell(truth[q]))
+            for q in range(1, len(self.queue_names))
+        ]
+        return headers, rows
+
 
 def run_fig5(
     config: Fig5Config,
@@ -103,6 +123,9 @@ def run_fig5(
         true_waiting=events.mean_waiting_by_queue(),
         requests_per_queue=events.events_per_queue(),
     )
+    # A queue without events has no estimate; the M-step's rate clamp
+    # would otherwise read as a 1e9 mean service time.
+    no_data = result.requests_per_queue == 0
     for fraction in config.fractions:
         trace = TaskSampling(fraction=fraction).observe(
             events, random_state=next(streams)
@@ -122,6 +145,10 @@ def run_fig5(
             state=stem.sampler.state,
             random_state=rng,
         )
-        result.service[fraction] = stem.mean_service_times()
-        result.waiting[fraction] = posterior.waiting_mean
+        service = stem.mean_service_times()
+        waiting = np.array(posterior.waiting_mean, dtype=float)
+        service[no_data] = np.nan
+        waiting[no_data] = np.nan
+        result.service[fraction] = service
+        result.waiting[fraction] = waiting
     return result

@@ -23,14 +23,9 @@ Layout
 * :mod:`repro.inference.pool` — persistent worker processes holding warm
   E-step chains across StEM/MCEM iterations (only rate vectors and
   sufficient statistics cross the process boundary).
-* :mod:`repro.inference.shard` — sharded single-chain sweeps: the trace's
-  tasks are partitioned (min-cut-flavored greedy over the
-  task-interaction graph), shard interiors sweep concurrently on
-  restricted array kernels, and only boundary events — moves whose
-  Markov blanket crosses a shard cut — are exchanged between super-steps.
-* :mod:`repro.inference.transport` — pluggable master↔worker message
-  transports for the persistent pools (local pipes by default, TCP
-  sockets for cross-machine workers; identical protocol and draws).
+* :mod:`repro.inference.transport` — length-prefixed pickle frames over
+  an HMAC-authenticated socket, the framing the live wire
+  (:mod:`repro.live.server`) speaks.
 * :mod:`repro.inference.diagnostics` — MCMC convergence diagnostics
   (within-chain and cross-chain).
 """
@@ -76,23 +71,7 @@ from repro.inference.paths_mh import (
 )
 from repro.inference.piecewise import PiecewiseExponential
 from repro.inference.posterior import PosteriorSummary, estimate_posterior
-from repro.inference.shard import (
-    ShardPlan,
-    ShardWorkerPool,
-    ShardedSweepEngine,
-    TaskPartition,
-    boundary_event_sets,
-    build_shard_plan,
-    partition_tasks,
-    task_interaction_graph,
-)
 from repro.inference.stem import StEMResult, run_stem
-from repro.inference.transport import (
-    PipeTransport,
-    SocketTransport,
-    WorkerTransport,
-    serve_worker,
-)
 
 __all__ = [
     "PiecewiseExponential",
@@ -112,18 +91,6 @@ __all__ = [
     "PersistentChainPool",
     "build_chain_sampler",
     "chain_recipes",
-    "ShardPlan",
-    "ShardWorkerPool",
-    "ShardedSweepEngine",
-    "TaskPartition",
-    "boundary_event_sets",
-    "build_shard_plan",
-    "partition_tasks",
-    "task_interaction_graph",
-    "WorkerTransport",
-    "PipeTransport",
-    "SocketTransport",
-    "serve_worker",
     "ChainSpec",
     "MultiChainPosterior",
     "MultiChainSampler",

@@ -95,7 +95,6 @@ class ChainSpec:
     shuffle: bool
     batch_draws: bool
     kernel: str = "array"
-    shards: int = 1
 
 
 def _initialize_chain(spec: ChainSpec):
@@ -127,7 +126,6 @@ def run_chain(spec: ChainSpec) -> PosteriorSamples:
         shuffle=spec.shuffle,
         batch_draws=spec.batch_draws,
         kernel=spec.kernel,
-        shards=spec.shards,
     )
     return sampler.collect(
         n_samples=spec.n_samples, thin=spec.thin, burn_in=spec.burn_in
@@ -162,12 +160,6 @@ class MultiChainSampler:
     kernel:
         Sweep engine for every chain (see
         :class:`~repro.inference.gibbs.GibbsSampler`).
-    shards:
-        Sharded sweeps within every chain (see
-        :mod:`repro.inference.shard`): each chain partitions the trace's
-        tasks, sweeps shard interiors on restricted array kernels and
-        resamples boundary moves in a master pass — same posterior, and
-        ``shards=1`` is exactly the plain array kernel.
     """
 
     def __init__(
@@ -181,7 +173,6 @@ class MultiChainSampler:
         shuffle: bool = True,
         batch_draws: bool = True,
         kernel: str = "array",
-        shards: int = 1,
     ) -> None:
         if n_chains < 1:
             raise InferenceError(f"need at least one chain, got {n_chains}")
@@ -196,9 +187,6 @@ class MultiChainSampler:
         self.shuffle = shuffle
         self.batch_draws = batch_draws
         self.kernel = kernel
-        if shards < 1:
-            raise InferenceError(f"need at least one shard, got {shards}")
-        self.shards = int(shards)
         self.seed_pairs = chain_seed_sequences(random_state, self.n_chains)
         self.init_methods = [
             self._init_method_for(k, trace.skeleton.n_events, lp_size_limit)
@@ -232,7 +220,6 @@ class MultiChainSampler:
                 shuffle=self.shuffle,
                 batch_draws=self.batch_draws,
                 kernel=self.kernel,
-                shards=self.shards,
             )
             for k, (init_seed, sweep_seed) in enumerate(self.seed_pairs)
         ]

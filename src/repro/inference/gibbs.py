@@ -73,7 +73,7 @@ from repro.rng import RandomState, as_generator
 #: when numba is not installed.
 KERNELS = ("array", "native", "object")
 
-#: Kernels that run on the batched array engine (and its sharded form).
+#: Kernels that run on the batched array engine.
 BATCH_KERNELS = ("array", "native")
 
 
@@ -143,35 +143,6 @@ class GibbsSampler:
         the array kernel to 1e-10 per move, falls back to the numpy path
         when numba is missing).  ``"object"`` is the reference per-move
         scalar path.
-    shards:
-        With ``shards > 1`` the trace's tasks are partitioned into that
-        many shards (:func:`~repro.inference.shard.partition_tasks`) and
-        each sweep runs on the
-        :class:`~repro.inference.shard.ShardedSweepEngine`: boundary
-        moves — those whose Markov blanket crosses a shard cut — are
-        resampled first by a scalar master pass, then every shard's
-        interior moves sweep on an independent array kernel.  Every move
-        still draws from its exact full conditional, so the stitched
-        chain targets the same posterior as an unsharded sweep;
-        ``shards=1`` is exactly the plain array kernel.  Requires a batch
-        kernel (``"array"`` or ``"native"``).
-    shard_workers:
-        Only with ``shards > 1``: fan the shard sweeps out over this many
-        persistent worker processes that keep per-shard sub-traces
-        resident and exchange only boundary-event times with the master
-        each sweep.  Results are bitwise identical to the in-process
-        sharded sweep at any worker count.  While workers are attached,
-        ``state`` is only current in the boundary region; call
-        :meth:`finish_shards` to pull the full state back and detach.
-    shard_pool:
-        An externally owned :class:`~repro.inference.shard.ShardWorkerPool`
-        that hosts this sampler's shards instead of spawning dedicated
-        workers; the pool's processes outlive the sampler (a stream's
-        pool serves every window).  Mutually exclusive with
-        ``shard_workers``.
-    shard_transport:
-        Worker transport for a dedicated shard pool (see
-        :mod:`repro.inference.transport`); pipes by default.
     """
 
     def __init__(
@@ -184,10 +155,6 @@ class GibbsSampler:
         cache_blankets: bool = True,
         batch_draws: bool = False,
         kernel: str = "array",
-        shards: int = 1,
-        shard_workers: int | None = None,
-        shard_pool=None,
-        shard_transport=None,
     ) -> None:
         self.trace = trace
         self.state = state
@@ -203,25 +170,6 @@ class GibbsSampler:
         if kernel not in KERNELS:
             raise InferenceError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.kernel = kernel
-        if shards < 1:
-            raise InferenceError(f"need at least one shard, got {shards}")
-        if shards > 1 and kernel not in BATCH_KERNELS:
-            raise InferenceError(
-                "sharded sweeps run on the array kernel only "
-                "(kernel='array' or its native lowering 'native')"
-            )
-        if shard_workers is not None and shards == 1:
-            raise InferenceError(
-                "shard_workers requires shards > 1; use persistent_workers to "
-                "fan whole chains out instead"
-            )
-        if shard_pool is not None and shard_workers is not None:
-            raise InferenceError(
-                "pass either shard_workers (a dedicated pool) or shard_pool "
-                "(an external pool), not both"
-            )
-        self.shards = int(shards)
-        self.shard_workers = shard_workers
         # The array kernel is built on top of the blanket caches.
         self.cache_blankets = (
             bool(cache_blankets) or bool(batch_draws) or kernel in BATCH_KERNELS
@@ -238,24 +186,7 @@ class GibbsSampler:
         self._arrival_cache: ArrivalBlanketCache | None = None
         self._departure_cache: DepartureBlanketCache | None = None
         self._array_kernel: ArraySweepKernel | None = None
-        self._shard_engine = None
-        if self.shards > 1:
-            # Imported here to avoid a cycle (shard builds on this module).
-            from repro.inference.shard import ShardedSweepEngine
-
-            self._shard_engine = ShardedSweepEngine(
-                trace,
-                state,
-                self._rates,
-                n_shards=self.shards,
-                random_state=self.rng,
-                shuffle=self.shuffle,
-                kernel=self.kernel,
-                workers=shard_workers,
-                pool=shard_pool,
-                transport=shard_transport,
-            )
-        elif self.cache_blankets:
+        if self.cache_blankets:
             self.rebuild_blanket_cache()
         self.n_sweeps_done = 0
 
@@ -282,8 +213,6 @@ class GibbsSampler:
             self._departure_cache.refresh_rates(self.state, self._rates)
         if self._array_kernel is not None:
             self._array_kernel.refresh_rates(self._rates)
-        if self._shard_engine is not None:
-            self._shard_engine.refresh_rates(self.state, self._rates)
 
     @property
     def n_latent(self) -> int:
@@ -298,15 +227,8 @@ class GibbsSampler:
         (and its blanket caches and batch kernel) per particle would
         dominate the cost, so the particle loop builds one sampler and,
         per particle, reseeds it, loads that particle's times
-        (:meth:`load_times`), and sets its rates.  Only unsharded
-        samplers can be reseeded — a sharded engine has already derived
-        per-shard streams from the original seed material.
+        (:meth:`load_times`), and sets its rates.
         """
-        if self._shard_engine is not None:
-            raise InferenceError(
-                "a sharded sampler's workers hold derived streams; "
-                "reseed is only supported for unsharded samplers"
-            )
         self.rng = as_generator(random_state)
 
     def load_times(self, arrival: np.ndarray, departure: np.ndarray) -> None:
@@ -320,11 +242,6 @@ class GibbsSampler:
         stay valid.  Both arrays must come from a state with identical
         structure — e.g. copies of one initialized state's columns.
         """
-        if self._shard_engine is not None:
-            raise InferenceError(
-                "shard workers hold their interior times remotely; "
-                "load_times is only supported for unsharded samplers"
-            )
         arrival = np.asarray(arrival, dtype=float)
         departure = np.asarray(departure, dtype=float)
         state = self.state
@@ -374,9 +291,7 @@ class GibbsSampler:
 
     def sweep(self) -> SweepStats:
         """Resample every latent variable once; returns move statistics."""
-        if self._shard_engine is not None:
-            stats = self._sweep_sharded()
-        elif self.kernel in BATCH_KERNELS:
+        if self.kernel in BATCH_KERNELS:
             stats = self._sweep_array()
         elif self.cache_blankets:
             stats = self._sweep_cached()
@@ -392,46 +307,6 @@ class GibbsSampler:
             self.state, self.rng, shuffle=self.shuffle
         )
         return SweepStats(n_moves=n_moves, n_skipped=n_skipped)
-
-    def _sweep_sharded(self) -> SweepStats:
-        """One sweep on the sharded engine: boundary pass, then shards."""
-        n_moves, n_skipped = self._shard_engine.sweep(self.state, self.rng)
-        return SweepStats(n_moves=n_moves, n_skipped=n_skipped)
-
-    # ------------------------------------------------------------------
-    # Sufficient statistics and shard lifecycle.
-    # ------------------------------------------------------------------
-
-    def service_totals(self) -> np.ndarray:
-        """Per-queue total service of the current state (E-step statistic).
-
-        The unsharded path defers to
-        :func:`~repro.inference.mstep.chain_service_totals`.  Sharded runs
-        accumulate per-shard partial sums in shard order — bitwise
-        identical between the in-process engine and shard workers (whose
-        sub-traces hold the current interior times the master mirror does
-        not have while workers are attached).
-        """
-        if self._shard_engine is not None:
-            return self._shard_engine.service_totals(self.state)
-        from repro.inference.mstep import chain_service_totals
-
-        return chain_service_totals(self.state)
-
-    def finish_shards(self) -> None:
-        """Pull shard-worker state back in-process and detach the workers.
-
-        After this call ``state`` is the complete stitched chain state and
-        further sweeps continue the exact per-shard random streams
-        in-process.  No-op for unsharded or already-serial samplers.
-        """
-        if self._shard_engine is not None:
-            self._shard_engine.finish_workers(self.state)
-
-    def close(self) -> None:
-        """Release shard worker processes; idempotent."""
-        if self._shard_engine is not None:
-            self._shard_engine.close()
 
     def _sweep_reference(self) -> SweepStats:
         """The uncached sweep: derive every blanket from the event set."""
@@ -549,12 +424,6 @@ class GibbsSampler:
         """
         if n_samples < 1 or thin < 1 or burn_in < 0:
             raise InferenceError("need n_samples >= 1, thin >= 1, burn_in >= 0")
-        if self._shard_engine is not None and self._shard_engine.pooled:
-            raise InferenceError(
-                "collect() reads whole-state summaries every retained "
-                "sweep, which shard workers do not ship back; call "
-                "finish_shards() first to collect in-process"
-            )
         self.run(burn_in)
         n_queues = self.state.n_queues
         mean_service = np.empty((n_samples, n_queues))

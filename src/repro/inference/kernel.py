@@ -56,7 +56,8 @@ _INF = np.inf
 # Per-registry handle cache: sweep() runs per EM iteration, so its
 # telemetry must cost a dict read, not registry lookups.  Handles are
 # module-level (never instance attributes) so pickled kernels crossing
-# to shard workers carry no lock-bearing state.
+# between processes (the persistent chain pool ships its samplers back)
+# carry no lock-bearing state.
 _KERNEL_METRICS: tuple | None = None
 
 

@@ -72,7 +72,6 @@ def run_mcem(
     jitter: float = 0.15,
     kernel: str = "array",
     persistent_workers: int | None = None,
-    shards: int = 1,
 ) -> MCEMResult:
     """Estimate rates by Monte-Carlo EM.
 
@@ -109,10 +108,6 @@ def run_mcem(
         resident across EM iterations, shipping only rate vectors and
         per-sweep sufficient statistics.  Bitwise identical to the serial
         run at any worker count.
-    shards:
-        Sharded sweeps for every E-step chain (see
-        :func:`~repro.inference.stem.run_stem`); with
-        ``persistent_workers`` each worker hosts whole sharded chains.
     """
     if n_iterations < 1 or e_sweeps < 1 or e_burn_in < 0:
         raise InferenceError("need n_iterations >= 1, e_sweeps >= 1, e_burn_in >= 0")
@@ -120,8 +115,6 @@ def run_mcem(
         raise InferenceError(f"growth must be >= 1, got {growth}")
     if n_chains < 1:
         raise InferenceError(f"need at least one chain, got {n_chains}")
-    if shards < 1:
-        raise InferenceError(f"need at least one shard, got {shards}")
     rates = (
         np.asarray(initial_rates, dtype=float).copy()
         if initial_rates is not None
@@ -129,7 +122,7 @@ def run_mcem(
     )
     recipes = chain_recipes(
         trace, rates, init_method, n_chains, jitter, random_state,
-        shuffle=True, kernel=kernel, shards=shards,
+        shuffle=True, kernel=kernel,
     )
     counts = trace.skeleton.events_per_queue().astype(float)
     history = np.empty((n_iterations + 1, trace.skeleton.n_queues))

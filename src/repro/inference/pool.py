@@ -26,6 +26,7 @@ hope.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.inference.chains import chain_seed_sequences, jittered_rates
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import heuristic_initialize
 from repro.inference.init_lp import lp_initialize
-from repro.inference.transport import PipeTransport, WorkerTransport
+from repro.inference.mstep import chain_service_totals
 from repro.observation import ObservedTrace
 from repro.rng import RandomState, as_generator
 
@@ -69,8 +70,7 @@ class ChainRecipe:
     Chain 0 carries ``init_seed=None`` (it initializes at the base rates
     with the caller's generator, exactly like the historical single-chain
     run); chains 1+ carry dedicated seed-sequence spawns and jitter their
-    initializer rates.  ``shards`` selects the sharded sweep engine of
-    :mod:`repro.inference.shard` for the chain's sweeps.
+    initializer rates.
     """
 
     index: int
@@ -82,7 +82,6 @@ class ChainRecipe:
     jitter: float
     shuffle: bool
     kernel: str
-    shards: int = 1
 
 
 def chain_recipes(
@@ -94,7 +93,6 @@ def chain_recipes(
     random_state: RandomState,
     shuffle: bool,
     kernel: str = "array",
-    shards: int = 1,
 ) -> list[ChainRecipe]:
     """One recipe per E-step chain, over-dispersed past chain 0.
 
@@ -116,7 +114,6 @@ def chain_recipes(
             jitter=jitter,
             shuffle=shuffle,
             kernel=kernel,
-            shards=shards,
         )
     ]
     if n_chains == 1:
@@ -135,29 +132,13 @@ def chain_recipes(
                 jitter=jitter,
                 shuffle=shuffle,
                 kernel=kernel,
-                shards=shards,
             )
         )
     return recipes
 
 
-def build_chain_sampler(
-    recipe: ChainRecipe,
-    shard_workers: int | None = None,
-    shard_pool=None,
-    shard_transport: WorkerTransport | None = None,
-) -> GibbsSampler:
-    """Materialize one warm E-step chain from its recipe.
-
-    *shard_workers* optionally attaches a shard worker pool to a sharded
-    chain (``recipe.shards > 1``) — the distributed-sweep path of
-    :func:`~repro.inference.stem.run_stem`; serial and pooled chains are
-    built from the same recipe either way, and *shard_transport* selects
-    that pool's worker transport.  *shard_pool* instead installs the
-    shards on an externally owned
-    :class:`~repro.inference.shard.ShardWorkerPool` whose processes
-    outlive this chain — a stream's pool, which serves every window.
-    """
+def build_chain_sampler(recipe: ChainRecipe) -> GibbsSampler:
+    """Materialize one warm E-step chain from its recipe."""
     if recipe.init_seed is None:
         init_rates = recipe.rates
     else:
@@ -170,10 +151,6 @@ def build_chain_sampler(
         random_state=recipe.sweep_state,
         shuffle=recipe.shuffle,
         kernel=recipe.kernel,
-        shards=recipe.shards,
-        shard_workers=shard_workers if recipe.shards > 1 else None,
-        shard_pool=shard_pool if recipe.shards > 1 else None,
-        shard_transport=shard_transport if recipe.shards > 1 else None,
     )
 
 
@@ -228,10 +205,7 @@ def _pool_worker_main(conn, recipes: list[ChainRecipe]) -> None:
                         out[index] = kept
                     else:
                         sampler.run(n_keep)
-                        # service_totals == chain_service_totals for
-                        # unsharded chains, and matches the serial sharded
-                        # accumulation order for sharded ones.
-                        out[index] = sampler.service_totals()
+                        out[index] = chain_service_totals(sampler.state)
                 conn.send(("ok", out))
             elif cmd == "finish":
                 _, rates = msg
@@ -250,76 +224,71 @@ def _pool_worker_main(conn, recipes: list[ChainRecipe]) -> None:
         conn.close()
 
 
-class PersistentWorkerPool:
-    """Worker-lifecycle core shared by the chain and shard worker pools.
+class PersistentChainPool:
+    """Long-lived worker processes holding warm E-step chains.
 
-    Each worker process is started over its own payload (chain recipes,
-    or nothing for a shard pool, whose shards arrive later in an
-    ``install`` message) and keeps that state resident, so the hosting
-    worker is always an implementation detail.  Workers are started
-    through a :class:`~repro.inference.transport.WorkerTransport` (OS
-    pipes by default, sockets for cross-machine pools) — the message
-    protocol is transport-agnostic.  Use as a context manager; on error
-    or exit every worker is joined (and terminated if it does not exit
+    Each worker is a local daemon process, connected by an OS pipe, that
+    builds its share of the chains once and keeps them resident.  Chains
+    never migrate between workers, so results are bitwise identical at
+    any ``workers`` count (including the serial in-process path built
+    from the same recipes).  Use as a context manager; on error or exit
+    every worker is joined (and terminated if it does not exit
     promptly).
-    """
 
-    #: Prefix of surfaced worker failures; subclasses override.
-    _failure_label = "persistent worker"
+    Parameters
+    ----------
+    recipes:
+        Output of :func:`chain_recipes`.
+    workers:
+        Worker process count; clamped to the number of chains.  Defaults
+        to one worker per chain.
+    """
 
     def __init__(
         self,
-        payloads: list[list],
-        worker_main,
-        transport: WorkerTransport | None = None,
+        recipes: list[ChainRecipe],
+        workers: int | None = None,
     ) -> None:
-        self.n_workers = len(payloads)
-        self.transport = transport if transport is not None else PipeTransport()
-        self._handles = []
+        if not recipes:
+            raise InferenceError("need at least one chain recipe")
+        n_workers = len(recipes) if workers is None else int(workers)
+        if n_workers < 1:
+            raise InferenceError(f"need at least one worker, got {workers}")
+        n_workers = min(n_workers, len(recipes))
+        self.n_workers = n_workers
+        self.n_chains = len(recipes)
+        #: ``(process, connection)`` per worker.
+        self._workers = []
         self._closed = False
+        ctx = multiprocessing.get_context()
         try:
-            for payload in payloads:
-                self._handles.append(self.transport.launch(worker_main, payload))
-            for handle in self._handles:
-                self._expect_ok(handle.recv())
+            for w in range(n_workers):
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_pool_worker_main,
+                    args=(child_conn, recipes[w::n_workers]),
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                self._workers.append((proc, parent_conn))
+            for _, conn in self._workers:
+                reply = conn.recv()
+                if reply[0] == "error":
+                    raise InferenceError(
+                        f"persistent E-step worker failed: {reply[1]}"
+                    )
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # Protocol plumbing.
-    # ------------------------------------------------------------------
 
     @property
     def closed(self) -> bool:
         """Whether the pool has been shut down (voluntarily or on error)."""
         return self._closed
 
-    def worker_pids(self) -> list[int | None]:
-        """PID per worker (``None`` for remote peers the master never
-        spawned) — what a supervisor's liveness probe, or a fault-injection
-        test picking a victim, needs to see."""
-        return [
-            getattr(handle.process, "pid", None) for handle in self._handles
-        ]
-
-    def n_alive(self) -> int:
-        """Locally spawned worker processes still running.
-
-        A remote peer (``process is None``) is not counted — its liveness
-        is only observable through the conversation (keepalive turns a
-        vanished peer into an :class:`EOFError` on the next exchange).
-        """
-        return sum(1 for handle in self._handles if handle.is_alive())
-
-    def _expect_ok(self, reply):
-        if reply[0] == "error":
-            self.close()
-            raise InferenceError(f"{self._failure_label} failed: {reply[1]}")
-        return reply[1]
-
-    def _exchange(self, messages: list) -> list:
-        """Send one message *per worker*; merge keyed replies in order.
+    def _broadcast(self, message) -> list:
+        """Send *message* to every worker; merge keyed replies in order.
 
         Any worker-side error (or a dead connection) shuts the whole pool
         down and surfaces as :class:`~repro.errors.InferenceError`.
@@ -329,16 +298,16 @@ class PersistentWorkerPool:
         merged: dict[int, object] = {}
         failure: str | None = None
         delivered = []
-        for handle, message in zip(self._handles, messages, strict=True):
+        for _, conn in self._workers:
             try:
-                handle.send(message)
+                conn.send(message)
             except (BrokenPipeError, EOFError, OSError):
                 failure = failure or "worker connection died before the request"
                 continue
-            delivered.append(handle)
-        for handle in delivered:
+            delivered.append(conn)
+        for conn in delivered:
             try:
-                reply = handle.recv()
+                reply = conn.recv()
             except (EOFError, OSError):
                 failure = failure or "worker exited without replying"
                 continue
@@ -348,81 +317,8 @@ class PersistentWorkerPool:
                 merged.update(reply[1])
         if failure is not None:
             self.close()
-            raise InferenceError(f"{self._failure_label} failed: {failure}")
+            raise InferenceError(f"persistent E-step worker failed: {failure}")
         return [merged[index] for index in sorted(merged)]
-
-    def _broadcast(self, message) -> list:
-        """Send the same message to every worker; merge keyed replies."""
-        return self._exchange([message] * len(self._handles))
-
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut every worker down; idempotent, never raises."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._handles:
-            try:
-                handle.send(("close",))
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-        for handle in self._handles:
-            handle.join(timeout=5.0)
-            if handle.is_alive():
-                handle.terminate()
-                handle.join(timeout=5.0)
-        for handle in self._handles:
-            handle.close_endpoint()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class PersistentChainPool(PersistentWorkerPool):
-    """Long-lived worker processes holding warm E-step chains.
-
-    Chains never migrate between workers, so results are bitwise identical
-    at any ``workers`` count (including the serial in-process path built
-    from the same recipes).
-
-    Parameters
-    ----------
-    recipes:
-        Output of :func:`chain_recipes`.
-    workers:
-        Worker process count; clamped to the number of chains.  Defaults
-        to one worker per chain.
-    transport:
-        Worker transport (see :mod:`repro.inference.transport`); defaults
-        to local processes over OS pipes.
-    """
-
-    _failure_label = "persistent E-step worker"
-
-    def __init__(
-        self,
-        recipes: list[ChainRecipe],
-        workers: int | None = None,
-        transport: WorkerTransport | None = None,
-    ) -> None:
-        if not recipes:
-            raise InferenceError("need at least one worker payload")
-        n_workers = len(recipes) if workers is None else int(workers)
-        if n_workers < 1:
-            raise InferenceError(f"need at least one worker, got {workers}")
-        n_workers = min(n_workers, len(recipes))
-        super().__init__(
-            [recipes[w::n_workers] for w in range(n_workers)],
-            _pool_worker_main,
-            transport,
-        )
-        self.n_chains = len(recipes)
 
     # ------------------------------------------------------------------
     # E-step operations.
@@ -452,3 +348,34 @@ class PersistentChainPool(PersistentWorkerPool):
         samplers = self._broadcast(("finish", rates))
         self.close()
         return samplers
+
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Shut every worker down; idempotent, never raises."""
+        if self._closed:
+            return
+        self._closed = True
+        for _, conn in self._workers:
+            try:
+                conn.send(("close",))
+            except (BrokenPipeError, EOFError, OSError):
+                pass
+        for proc, _ in self._workers:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+        for _, conn in self._workers:
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def __enter__(self) -> "PersistentChainPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

@@ -22,7 +22,7 @@ from repro.errors import InferenceError
 from repro.telemetry import phase as _phase
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import initial_rates_from_observed
-from repro.inference.mstep import mle_rates_from_stats
+from repro.inference.mstep import chain_service_totals, mle_rates_from_stats
 from repro.inference.pool import (
     PersistentChainPool,
     build_chain_sampler,
@@ -95,9 +95,6 @@ def run_stem(
     jitter: float = 0.15,
     kernel: str = "array",
     persistent_workers: int | None = None,
-    shards: int = 1,
-    shard_pool=None,
-    shard_transport=None,
 ) -> StEMResult:
     """Estimate ``lambda`` and all ``mu_q`` from an incomplete trace.
 
@@ -141,50 +138,11 @@ def run_stem(
         rate vectors and per-queue sufficient statistics cross the process
         boundary each round.  Results are bitwise identical to the serial
         run at any worker count.
-    shards:
-        With ``shards > 1`` every E-step chain's sweep itself is sharded
-        (:mod:`repro.inference.shard`): the trace's tasks are partitioned,
-        interior moves sweep per shard and only boundary events are
-        exchanged between super-steps.  Combined with
-        ``persistent_workers`` and a single chain, the shards of that
-        chain are distributed across the workers (sub-traces stay
-        resident; only boundary times and per-queue statistics cross the
-        process boundary) — bitwise identical to the in-process sharded
-        run at any worker count.  With multiple chains, each worker hosts
-        whole (sharded) chains as usual.
-    shard_pool:
-        An externally owned :class:`~repro.inference.shard.ShardWorkerPool`
-        that hosts the (single) chain's shards for this run and stays
-        alive afterwards — a stream's pool, which installs every window's
-        shards on the same processes.  Requires ``n_chains == 1`` and is
-        mutually exclusive with ``persistent_workers``; results are
-        bitwise identical to every other execution mode at the same seed.
-    shard_transport:
-        Worker transport for the dedicated shard pool of the
-        ``persistent_workers``-with-``shards`` path (see
-        :mod:`repro.inference.transport`); pipes by default.  An external
-        ``shard_pool`` carries its own transport instead.
     """
     if n_iterations < 1:
         raise InferenceError(f"need at least one iteration, got {n_iterations}")
     if n_chains < 1:
         raise InferenceError(f"need at least one chain, got {n_chains}")
-    if shards < 1:
-        raise InferenceError(f"need at least one shard, got {shards}")
-    if shard_pool is not None and persistent_workers:
-        raise InferenceError(
-            "pass either persistent_workers or an external shard_pool, not both"
-        )
-    if shard_pool is not None and n_chains != 1:
-        raise InferenceError(
-            "an external shard pool hosts exactly one chain's shards; "
-            f"got n_chains={n_chains}"
-        )
-    if shard_pool is not None and shards == 1:
-        raise InferenceError(
-            "an external shard pool requires shards > 1 — with a single "
-            "shard the sweep runs in-process and the pool would idle"
-        )
     if burn_in is None:
         burn_in = n_iterations // 2
     if not 0 <= burn_in < n_iterations:
@@ -197,14 +155,12 @@ def run_stem(
         else initial_rates_from_observed(trace)
     )
     recipes = chain_recipes(
-        trace, rates, init_method, n_chains, jitter, random_state, shuffle, kernel,
-        shards=shards,
+        trace, rates, init_method, n_chains, jitter, random_state, shuffle, kernel
     )
     counts = trace.skeleton.events_per_queue().astype(float)
     history = np.empty((n_iterations + 1, trace.skeleton.n_queues))
     history[0] = rates
-    shard_pool_run = bool(persistent_workers) and shards > 1 and n_chains == 1
-    if persistent_workers and not shard_pool_run:
+    if persistent_workers:
         with PersistentChainPool(recipes, workers=persistent_workers) as pool:
             for it in range(1, n_iterations + 1):
                 with _phase("sweeps"):
@@ -215,41 +171,24 @@ def run_stem(
             estimate = history[burn_in:].mean(axis=0)
             samplers = pool.finish(estimate)
     else:
-        # Serial chains — or one chain whose *shards* fan out over the
-        # persistent workers.  Both build from the same recipes and use
-        # the same statistic accumulation, so the three paths (serial,
-        # chain-pooled, shard-pooled) stay bitwise aligned.
-        samplers = [
-            build_chain_sampler(
-                recipe,
-                shard_workers=persistent_workers if shard_pool_run else None,
-                shard_pool=shard_pool,
-                shard_transport=shard_transport if shard_pool_run else None,
-            )
-            for recipe in recipes
-        ]
-        try:
-            for it in range(1, n_iterations + 1):
-                with _phase("sweeps"):
-                    for sampler in samplers:
-                        sampler.run(sweeps_per_iteration)
-                with _phase("m-step"):
-                    rates = mle_rates_from_stats(
-                        counts, [s.service_totals() for s in samplers]
-                    )
-                    for sampler in samplers:
-                        sampler.set_rates(rates)
-                history[it] = rates
-            estimate = history[burn_in:].mean(axis=0)
-            for sampler in samplers:
-                sampler.set_rates(estimate)
-                # Pull shard-worker state home so the returned sampler holds
-                # the complete stitched chain and owns no processes.
-                sampler.finish_shards()
-        except BaseException:
-            for sampler in samplers:
-                sampler.close()
-            raise
+        # Serial chains, built from the same recipes and reduced with the
+        # same statistic as the pooled ones, so both paths stay bitwise
+        # aligned.
+        samplers = [build_chain_sampler(recipe) for recipe in recipes]
+        for it in range(1, n_iterations + 1):
+            with _phase("sweeps"):
+                for sampler in samplers:
+                    sampler.run(sweeps_per_iteration)
+            with _phase("m-step"):
+                rates = mle_rates_from_stats(
+                    counts, [chain_service_totals(s.state) for s in samplers]
+                )
+                for sampler in samplers:
+                    sampler.set_rates(rates)
+            history[it] = rates
+        estimate = history[burn_in:].mean(axis=0)
+        for sampler in samplers:
+            sampler.set_rates(estimate)
     return StEMResult(
         rates=estimate,
         rates_history=history,

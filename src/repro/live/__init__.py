@@ -3,7 +3,7 @@
 The source paper infers the queueing behavior of a *running* system from
 partial observations — which only pays off when the estimator runs beside
 that system continuously.  This package closes that loop on top of the
-PR 2–4 engine stack:
+streaming estimators of :mod:`repro.online`:
 
 * :mod:`repro.live.records` — measurement records: one event's identity,
   its queue's event-counter value (what pins the frozen order), and any
@@ -26,9 +26,9 @@ PR 2–4 engine stack:
 
 Equivalence contract: a recorded trace ingested in order with no
 stragglers yields window estimates **bitwise identical** to the
-replay/windowed path at the same seed, for any shard-worker count —
-``tests/live/`` pins it, together with checkpoint→restart→resume
-bitwise reproduction of frozen windows.
+replay/windowed path at the same seed — ``tests/live/`` pins it,
+together with checkpoint→restart→resume bitwise reproduction of frozen
+windows.
 """
 
 from repro.live.records import (

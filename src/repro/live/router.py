@@ -6,8 +6,8 @@ many clients ship records.  :class:`IngestRouter` scales past that by
 partitioning the ingest keyspace across N independent service
 *processes* — shared-nothing: each partition owns its own
 :class:`~repro.live.stream.LiveTraceStream`, its own
-:class:`~repro.online.streaming.StreamingEstimator` (with its own shard
-workers), and its own checkpoint file — while clients keep seeing one
+:class:`~repro.online.streaming.StreamingEstimator`, and its own
+checkpoint file — while clients keep seeing one
 ``LiveClient``-compatible address: the router implements the same
 command surface the single service does, so ``LiveServer(router)``
 serves the whole tier over the existing framed-HMAC protocol, and the
@@ -16,9 +16,8 @@ router itself speaks that same protocol down to every partition.
 **Keyspace partitioning.**  The unit of placement is a *task*, keyed by
 its entry slot (the queue-0 event counter, which is globally dense:
 0, 1, 2, ...).  Slots are striped block-cyclically:
-``partition = (slot // block) % N`` — the streaming analogue of
-:func:`~repro.inference.shard.partition_tasks`' entry-contiguous blocks:
-tasks that enter the system together (and therefore interact in the
+``partition = (slot // block) % N`` — entry-contiguous blocks: tasks
+that enter the system together (and therefore interact in the
 frozen queue orders) land on the same partition, while steady load still
 rotates across all N at block granularity.  Because every partition's
 sub-stream must itself present a dense entry prefix, the router rebases
@@ -40,10 +39,7 @@ router drops exactly the entries that are already durable).  Replayed
 duplicates are dropped by the stream's at-least-once dedup, and the
 restored estimator continues its per-window seed stream, so the windows
 published after a crash are bitwise the windows the uninterrupted run
-would have published.  Shard workers *inside* a partition are covered
-one layer down: a kill -9'd worker shuts its shard pool, and the
-streaming estimator relaunches the pool and re-runs the window from the
-same seed child (``StreamingEstimator.worker_retries``).
+would have published.
 """
 
 from __future__ import annotations
@@ -153,8 +149,10 @@ class _PartitionHandle:
         """Start (or restart) the partition process and connect to it."""
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe()
-        # NOT daemonic: the partition process spawns shard workers of its
-        # own; orphan cleanup is the parent-liveness watch in the child.
+        # NOT daemonic: multiprocessing terminates daemonic children when
+        # the router's interpreter exits, possibly mid-checkpoint.  The
+        # router stops its partitions itself, and an orphaned partition
+        # exits through the parent-liveness watch in the child.
         proc = ctx.Process(
             target=_partition_service_main,
             args=(self.config, self.seed, self.checkpoint_path, restore,
@@ -685,7 +683,6 @@ class IngestRouter:
             "schema": 1,
             "service": service,
             "stream": stream_section,
-            "workers": None,
             "estimator": self._estimator_cls.COUNTS.total(
                 h.get("estimator") for h in partitions
             ),

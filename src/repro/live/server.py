@@ -2,10 +2,8 @@
 
 One listener, many client connections, one wire format: every message is
 a length-prefixed pickle frame over TCP, and every connection must pass
-the same mutual HMAC handshake before any frame crosses — the framing and
-handshake machinery is *shared* with the shard-worker transport
-(:mod:`repro.inference.transport`), so a deployment that already ships
-worker traffic over sockets speaks the ingestion protocol for free.
+the same mutual HMAC handshake before any frame crosses (the framing and
+handshake machinery lives in :mod:`repro.inference.transport`).
 
 Protocol: the client sends ``(command, *args)`` tuples and receives
 ``("ok", result)`` or ``("error", message)``:

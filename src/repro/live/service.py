@@ -105,8 +105,8 @@ def flatten_health(record: dict) -> dict:
 
     Compatibility shim for pre-schema consumers: every key of
     ``service`` and ``stream`` reappears at the top level, exactly as
-    the flat records of earlier releases spelled them.  The ``workers``
-    and ``server`` sections were already flat keys before.  The
+    the flat records of earlier releases spelled them.  The ``server``
+    section was already a top-level key before.  The
     benchmark's ``perfbench/serve_webapp.py`` still reads the flat
     ``status`` and ``windows_published``; the shim goes once it reads
     ``health["service"]`` instead.
@@ -132,7 +132,6 @@ def estimate_to_record(estimate: WindowEstimate, index: int) -> dict:
             float(r) for r in estimate.rates
         ],
         "failure": estimate.failure,
-        "n_shards": int(getattr(estimate, "n_shards", 1)),
     }
 
 
@@ -265,7 +264,7 @@ class EstimatorService:
         return self
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Stop the supervisor, final-checkpoint, and release the pool."""
+        """Stop the supervisor and write the final checkpoint."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
@@ -352,10 +351,7 @@ class EstimatorService:
                     traceback.format_exception_only(type(exc), exc)
                 ).strip()
         finally:
-            try:
-                self._checkpoint_now()
-            finally:
-                self.estimator.close()
+            self._checkpoint_now()
 
     def _wait_for_progress(self) -> None:
         waiter = getattr(self.stream, "wait_for_progress", None)
@@ -444,11 +440,10 @@ class EstimatorService:
         """One versioned status record (the ``health`` command).
 
         Schema 1 nests the record into ``service`` / ``stream`` /
-        ``workers`` / ``estimator`` sections (``stream`` and ``workers``
-        are ``None`` when the service has no live stream / no worker
-        pool; the wire server adds a ``server`` section).  Every count
-        is read from its owner's ``COUNTS`` table, the same reads the
-        ``metrics`` series make.  The flat pre-schema keys are still
+        ``estimator`` sections (``stream`` is ``None`` when the service
+        has no live stream; the wire server adds a ``server`` section).
+        Every count is read from its owner's ``COUNTS`` table, the same
+        reads the ``metrics`` series make.  The flat pre-schema keys are still
         mirrored at the top level — see :func:`flatten_health`.
         """
         with self._lock:
@@ -471,10 +466,6 @@ class EstimatorService:
             "stream": (
                 stream.health() if isinstance(stream, LiveTraceStream) else None
             ),
-            # Shard-worker liveness (None when the estimator is unpooled):
-            # a monitoring consumer sees a killed worker here before the
-            # next window trips over it, and the relaunch tally after.
-            "workers": estimator.pool_stats(),
             "estimator": estimator.COUNTS.read(estimator),
         }
         return flatten_health(record)
@@ -624,7 +615,6 @@ class EstimatorService:
     def from_checkpoint(
         cls,
         path: str,
-        transport=None,
         checkpoint_path: str | None = None,
         **overrides,
     ) -> "EstimatorService":
@@ -633,26 +623,48 @@ class EstimatorService:
 
         The restored estimator continues the snapshot's per-window seed
         stream exactly, so windows processed after the restart are bitwise
-        the ones the uninterrupted service would have published.  Pass
-        *transport* to rebuild socket-backed shard workers; *overrides*
-        replace stored service options (``checkpoint_every`` etc.).
-        By default the restored service keeps checkpointing to *path*.
+        the ones the uninterrupted service would have published.
+        *overrides* replace stored service options (``checkpoint_every``
+        etc.).  By default the restored service keeps checkpointing to
+        *path*.  A file that is not such a snapshot (empty, truncated,
+        another pickle) raises :class:`~repro.errors.IngestError` naming
+        the file and the defect.  The file is still unpickled, so restore
+        only checkpoints this service wrote.
         """
         with open(path, "rb") as fh:
-            snapshot = pickle.load(fh)
+            try:
+                snapshot = pickle.load(fh)
+            except Exception as exc:  # noqa: BLE001 — any load failure is a damaged file
+                raise IngestError(
+                    f"checkpoint {path!r} does not unpickle "
+                    f"({type(exc).__name__}: {exc}); the file is empty, "
+                    "truncated or not a checkpoint"
+                ) from None
+        if not isinstance(snapshot, dict):
+            raise IngestError(
+                f"checkpoint {path!r} holds a {type(snapshot).__name__}, "
+                "not a snapshot record"
+            )
         if snapshot.get("version") != 1:
             raise IngestError(
                 f"unrecognized checkpoint version in {path!r}: "
                 f"{snapshot.get('version')!r}"
+            )
+        # ``ingest`` is optional: older snapshots predate it.
+        missing = [
+            key for key in ("stream", "estimator", "published", "service")
+            if key not in snapshot
+        ]
+        if missing:
+            raise IngestError(
+                f"checkpoint {path!r} lacks the snapshot sections {missing}"
             )
         stream = LiveTraceStream.from_state(snapshot["stream"])
         est_state = snapshot["estimator"]
         # Dispatch on the estimator name the checkpoint carries.
         estimator_cls = get_estimator(est_state.get("estimator"))
         estimator = estimator_cls(
-            stream,
-            transport=transport,
-            config=EstimatorConfig.from_state(est_state["config"]),
+            stream, config=EstimatorConfig.from_state(est_state["config"])
         )
         estimator.load_state_dict(est_state)
         options = dict(snapshot["service"])
@@ -737,13 +749,12 @@ class ServiceConfig(EstimatorConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         get_estimator(self.estimator)
-        self.check_estimator(self.estimator)
         if self.seed < 0:
             raise InferenceError(f"seed must be >= 0, got {self.seed}")
         validate_stream_params(self.n_queues, self.lateness, self.max_pending, self.retain)
         validate_service_params(self.checkpoint_every, self.poll_interval)
 
-    def make_estimator(self, stream, transport=None, random_state=None):
+    def make_estimator(self, stream, random_state=None):
         """This config's estimator over *stream*; *random_state*, when
         given, replaces :attr:`seed` (a router passes each partition's
         spawned child)."""
@@ -751,7 +762,7 @@ class ServiceConfig(EstimatorConfig):
             **{name: getattr(self, name) for name in estimator_config_keys()}
         )
         return get_estimator(self.estimator)(
-            stream, config=config, transport=transport,
+            stream, config=config,
             random_state=self.seed if random_state is None else random_state,
         )
 

@@ -50,7 +50,7 @@ with no stragglers, and sealing yields a stream whose reveals, horizon,
 and window sub-traces are **bitwise identical** to
 :class:`~repro.online.streaming.ReplayTraceStream` over the same trace —
 so live window estimates match the replay/windowed path exactly at the
-same seed, for any shard-worker count.
+same seed.
 
 Finality argument (why a revealed entry estimate never changes): entry
 times are interpolated by position between *anchors* — tasks whose first

@@ -12,13 +12,11 @@ This package implements that direction in three stages:
   was the bottleneck?" becomes a lookup into the window series.
 * :mod:`repro.online.streaming` — the online form: consume an
   incrementally revealed trace (:class:`~repro.online.streaming.TraceStream`)
-  with per-window bookkeeping that costs O(window), and keep one shard
-  worker pool alive for the whole stream.  Every window matches the
-  windowed estimator bitwise at the same seed, at any shard and worker
-  count.
+  with per-window bookkeeping that costs O(window).  Every window
+  matches the windowed estimator bitwise at the same seed.
 * :mod:`repro.online.smc` — the O(arrival) form: a particle population
   over the rate vector reweighted per poll batch, with ESS-triggered
-  systematic resampling and exact Gibbs rejuvenation on the shared
+  systematic resampling and Gibbs-refreshed rejuvenation on the shared
   sweep kernels.
 
 Every estimator flavor implements :class:`StreamEstimatorProtocol` and is
@@ -84,10 +82,6 @@ class StreamEstimatorProtocol(Protocol):
     def state_dict(self) -> dict: ...
 
     def load_state_dict(self, state: dict) -> None: ...
-
-    def pool_stats(self) -> dict | None: ...
-
-    def close(self) -> None: ...
 
 
 #: Registered estimator flavors, keyed by the name checkpoints carry.

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.errors import InferenceError
-from repro.inference.gibbs import BATCH_KERNELS, KERNELS
+from repro.inference.gibbs import KERNELS
 from repro.online.windowed import validate_window_params
 
 
@@ -40,11 +40,10 @@ def knob(help: str, default: Any = MISSING, **cli) -> Any:
 class EstimatorConfig:
     """Every estimator knob, in one validated place.
 
-    ``window`` is the only required field.  The StEM fields
-    (``stem_iterations``, ``shards``, ``shard_workers``) are ignored by
-    the SMC estimator; the SMC fields (``n_particles``, ``ess_threshold``,
-    ``rejuvenation_sweeps``) are ignored by StEM.  Each field's metadata
-    holds its help text.
+    ``window`` is the only required field.  The SMC estimator burns in
+    for half of ``stem_iterations``; the SMC fields (``n_particles``,
+    ``ess_threshold``, ``rejuvenation_sweeps``) are ignored by StEM.
+    Each field's metadata holds its help text.
     """
 
     window: float = knob(
@@ -61,24 +60,10 @@ class EstimatorConfig:
         "windows with fewer fully observed tasks are skipped", 3,
         flag="--min-observed",
     )
-    shards: int = knob(
-        "sharded sweeps per window, clamped to each window's task count; "
-        "more than one needs a batch kernel (array or native)", 1,
-    )
-    shard_workers: int | None = knob(
-        "host the shard sweeps on this many worker processes, one pool "
-        "for the whole stream, results identical at any count; needs more "
-        "than one shard (default: in-process)", None, type=int,
-    )
     kernel: str = knob(
         "sweep kernel: 'array' (vectorized conflict-free batches), "
         "'native' (its JIT lowering; 'array' when numba is missing) or "
         "'object' (the per-move scalar reference)", "array", choices=KERNELS,
-    )
-    worker_retries: int = knob(
-        "times a window whose shard worker pool died is re-run on a "
-        "relaunched pool, from the same seed, before its failure is "
-        "recorded as data", 1,
     )
     n_particles: int = knob("SMC particle count", 16, flag="--particles")
     ess_threshold: float = knob(
@@ -90,36 +75,14 @@ class EstimatorConfig:
     )
 
     def __post_init__(self) -> None:
-        validate_window_params(self.window, self.step, self.stem_iterations, self.shards)
+        validate_window_params(self.window, self.step, self.stem_iterations)
         self.window = float(self.window)
         self.step = self.window if self.step is None else float(self.step)
         self.stem_iterations = int(self.stem_iterations)
         self.min_observed_tasks = int(self.min_observed_tasks)
-        self.shards = int(self.shards)
         if self.kernel not in KERNELS:
             raise InferenceError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
-        if self.shards > 1 and self.kernel not in BATCH_KERNELS:
-            raise InferenceError(
-                f"shards > 1 needs a batch kernel {BATCH_KERNELS}, got "
-                f"kernel {self.kernel!r}"
-            )
-        if self.shard_workers is not None:
-            self.shard_workers = int(self.shard_workers)
-            if self.shard_workers < 1:
-                raise InferenceError(
-                    f"shard_workers must be >= 1, got {self.shard_workers}"
-                )
-            if self.shards == 1:
-                raise InferenceError(
-                    "shard_workers requires shards > 1 — a single shard "
-                    "sweeps in-process"
-                )
-        self.worker_retries = int(self.worker_retries)
-        if self.worker_retries < 0:
-            raise InferenceError(
-                f"worker_retries must be >= 0, got {self.worker_retries}"
             )
         self.n_particles = int(self.n_particles)
         if self.n_particles < 2:
@@ -137,15 +100,6 @@ class EstimatorConfig:
             raise InferenceError(
                 "rejuvenation_sweeps must be >= 1 (at least one rejuvenation "
                 f"sweep per trigger), got {self.rejuvenation_sweeps}"
-            )
-
-    def check_estimator(self, name: str) -> None:
-        """The rule that depends on which estimator runs this config: SMC
-        rejuvenates in-process, so it takes no sharding."""
-        if name == "smc" and (self.shards > 1 or self.shard_workers is not None):
-            raise InferenceError(
-                "estimator 'smc' rejuvenates every particle in-process on "
-                "one shared kernel; drop shards/shard_workers or use stem"
             )
 
     def as_dict(self) -> dict:

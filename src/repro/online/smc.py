@@ -23,18 +23,24 @@ of the tomcat-coordination exemplar):
 2. **Resample + rejuvenate — only when the population degrades.**  When
    the effective sample size ``1/Σ w²`` falls below
    ``ess_threshold · n_particles``, particles are systematically
-   resampled and then **rejuvenated through the exact window posterior**:
-   one shared heuristic initialization and one shared
-   :class:`~repro.inference.gibbs.GibbsSampler` (array/native kernel,
-   blanket caches built once) serve the whole population — per particle
-   the sampler is reseeded (:meth:`~repro.inference.gibbs.GibbsSampler.reseed`),
-   loaded with the shared initial times
+   resampled and then **rejuvenated on the window's data**: one shared
+   heuristic initialization, burned in by a short StEM loop, and one
+   shared :class:`~repro.inference.gibbs.GibbsSampler` (array/native
+   kernel, blanket caches built once) serve the whole population — per
+   particle the sampler is reseeded
+   (:meth:`~repro.inference.gibbs.GibbsSampler.reseed`), loaded with the
+   shared burned-in times
    (:meth:`~repro.inference.gibbs.GibbsSampler.load_times`), swept
    ``rejuvenation_sweeps`` times at the particle's rates, and the rates
-   are refreshed from the swept latent state's conjugate Gamma
-   conditional.  This is a valid MCMC move for the window posterior, so
-   the published weighted-mean rates inherit the Gibbs chain's
-   exactness, not the surrogate's bias.
+   are redrawn from the swept latent state's conjugate Gamma
+   conditional.  The published rates thus rest on the window's data,
+   not on the surrogate alone.  The move is **not** an exact MCMC move
+   for the window posterior: every particle starts from the same latent
+   state, burned in at the StEM point estimate, so its times are never a
+   draw from ``p(E | θ_p, O)``.  A probe measured the particles' rate
+   spread at 0.58–0.73 of a reference posterior's standard deviation
+   (ROADMAP item 5); carrying one latent state per particle (ROADMAP
+   item 6) is the planned fix.
 
 3. **Publish.**  The window estimate is the weighted particle mean, in
    the same :class:`~repro.online.streaming.StreamEstimate` envelope the
@@ -50,9 +56,9 @@ Under heavy overlap (``step << window``) most windows never trigger,
 which is the latency crossover ``benchmarks/bench_smc.py`` gates on.
 
 Seeding follows the streaming estimator's discipline exactly: window *i*
-consumes the *i*-th spawn of the seed material, and every window derives
-its resample/rejuvenation streams from a pristine clone of its own
-child — runs are bit-reproducible and checkpoint→restore→resume is
+consumes the *i*-th spawn of the seed material, and every window spawns
+its resample/rejuvenation streams from its own child — runs are
+bit-reproducible and checkpoint→restore→resume is
 bitwise (``state_dict`` carries θ, log-weights, and the spawn counter).
 """
 
@@ -64,7 +70,7 @@ from repro import telemetry
 from repro.errors import InferenceError
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.init_heuristic import initial_rates_from_observed
-from repro.inference.mstep import mle_rates_from_stats
+from repro.inference.mstep import chain_service_totals, mle_rates_from_stats
 from repro.inference.pool import initialize_state
 from repro.observation import ObservedTrace
 from repro.online.streaming import StreamEstimate, StreamingEstimator
@@ -145,8 +151,6 @@ class SMCEstimator(StreamingEstimator):
     (same kwargs, same ``config=`` spelling, same seed discipline); the
     SMC-specific knobs are ``n_particles``, ``ess_threshold``, and
     ``rejuvenation_sweeps`` on :class:`~repro.online.config.EstimatorConfig`.
-    Rejuvenation runs in-process on the shared sweep kernel, so the
-    sharded-sweep knobs are rejected rather than silently ignored.
     """
 
     estimator_name = "smc"
@@ -157,7 +161,7 @@ class SMCEstimator(StreamingEstimator):
     )
 
     def __init__(self, stream, **kwargs) -> None:
-        super().__init__(stream, **kwargs)  # rejects sharding (the config's rule)
+        super().__init__(stream, **kwargs)
         # Particle state.  θ lives in a (n_particles, n_queues) array —
         # None until the first estimable window sizes it from the trace.
         self._thetas: np.ndarray | None = None
@@ -227,14 +231,10 @@ class SMCEstimator(StreamingEstimator):
         window_seed: np.random.SeedSequence,
     ) -> np.ndarray:
         """One SMC step: reweight on the batch, maybe move, publish."""
-        # The window's streams: a pristine clone of the window's seed
-        # child (the retry-safe discipline _attempt_seed documents), split
-        # deterministically — children are spawned whether or not the
-        # trigger fires, so the draw tree is a pure function of the
+        # The window's streams, spawned from its seed child whether or not
+        # the trigger fires, so the draw tree is a pure function of the
         # window index.
-        resample_seed, burnin_seed, move_seed = (
-            self._attempt_seed(window_seed).spawn(3)
-        )
+        resample_seed, burnin_seed, move_seed = window_seed.spawn(3)
         # 1. Reweight on the newly revealed records (O(arrivals)).
         with telemetry.phase("reweight"):
             counts, totals = self._batch_statistics(arrived, interval)
@@ -316,7 +316,7 @@ class SMCEstimator(StreamingEstimator):
         burnin_seed: np.random.SeedSequence,
         move_seed: np.random.SeedSequence,
     ) -> None:
-        """Systematic resample, then exact MCMC moves through the window.
+        """Systematic resample, then Gibbs-refreshed rates on the window.
 
         The expensive substrate — heuristic initialization, a shared
         latent-state burn-in, and the sampler with its blanket caches and
@@ -330,8 +330,10 @@ class SMCEstimator(StreamingEstimator):
         are swapped (:meth:`~repro.inference.gibbs.GibbsSampler.reseed` /
         :meth:`~repro.inference.gibbs.GibbsSampler.load_times`): each
         particle sweeps the latent times at its own θ and then redraws θ
-        from the conjugate Gamma conditional of its swept state, which
-        leaves the window posterior invariant.
+        from the conjugate Gamma conditional of its swept state.  Every
+        particle starts from the same burned-in times, not from a draw of
+        ``p(E | θ_p, O)``, so this does not leave the window posterior
+        invariant (ROADMAP items 5 and 6).
         """
         n_queues = window_trace.skeleton.n_queues
         needs_init = self._thetas is None
@@ -358,39 +360,36 @@ class SMCEstimator(StreamingEstimator):
             random_state=burnin_seed,
             kernel=self.kernel,
         )
-        try:
-            with telemetry.phase("burn-in"):
-                for _ in range(max(1, self.stem_iterations // 2)):
+        with telemetry.phase("burn-in"):
+            for _ in range(max(1, self.stem_iterations // 2)):
+                sampler.sweep()
+                base_rates = mle_rates_from_stats(
+                    event_counts, [chain_service_totals(state)],
+                    min_rate=_MIN_RATE, max_rate=_MAX_RATE,
+                )
+                sampler.set_rates(base_rates)
+        init_arrival = state.arrival.copy()
+        init_departure = state.departure.copy()
+        if needs_init:
+            # Particles anchor on the burned-in rates; the first Gamma
+            # refresh below scatters them around it.
+            thetas = np.tile(base_rates, (self.n_particles, 1))
+        with telemetry.phase("sweeps"):
+            for p, child in enumerate(move_seed.spawn(self.n_particles)):
+                rng = as_generator(child)
+                sampler.reseed(rng)
+                sampler.load_times(init_arrival, init_departure)
+                # Rates are loaded before each sweep, not after each
+                # refresh: the last refreshed θ is stored without a final
+                # set_rates, whose rebuilt rate caches no draw would read.
+                theta = thetas[p]
+                for _ in range(self.rejuvenation_sweeps):
+                    sampler.set_rates(theta)
                     sampler.sweep()
-                    base_rates = mle_rates_from_stats(
-                        event_counts, [sampler.service_totals()],
-                        min_rate=_MIN_RATE, max_rate=_MAX_RATE,
+                    theta = self._gamma_refresh(
+                        event_counts, chain_service_totals(state), rng
                     )
-                    sampler.set_rates(base_rates)
-            init_arrival = state.arrival.copy()
-            init_departure = state.departure.copy()
-            if needs_init:
-                # Particles anchor on the burned-in rates; the first
-                # Gamma refresh below scatters them into the posterior.
-                thetas = np.tile(base_rates, (self.n_particles, 1))
-            with telemetry.phase("sweeps"):
-                for p, child in enumerate(move_seed.spawn(self.n_particles)):
-                    rng = as_generator(child)
-                    sampler.reseed(rng)
-                    sampler.load_times(init_arrival, init_departure)
-                    # Rates are loaded before each sweep, not after each
-                    # refresh: the last refreshed θ is stored without a final
-                    # set_rates, whose rebuilt rate caches no draw would read.
-                    theta = thetas[p]
-                    for _ in range(self.rejuvenation_sweeps):
-                        sampler.set_rates(theta)
-                        sampler.sweep()
-                        theta = self._gamma_refresh(
-                            event_counts, sampler.service_totals(), rng
-                        )
-                    thetas[p] = theta
-        finally:
-            sampler.close()
+                thetas[p] = theta
         self._thetas = thetas
         self._log_weights = np.zeros(self.n_particles)
         self.n_rejuvenations += 1

@@ -1,27 +1,18 @@
-"""Streaming sharded estimation over an incrementally revealed trace.
+"""Streaming estimation over an incrementally revealed trace.
 
 The windowed estimator answers "what were the rates five minutes ago?"
 over a recorded trace.  This module is the online form the paper points
 at: a :class:`TraceStream` reveals tasks as they enter the system, and a
 :class:`StreamingEstimator` slides a window over the revealed prefix,
-running the windowed estimator's per-window recipe on each window:
-
-* per-window bookkeeping (entry-time estimates, observed-task checks,
-  sub-trace restriction via :class:`~repro.events.subset.SubsetIndex`)
-  is O(window), independent of how much trace has already streamed past;
-* every sharded window partitions its tasks from scratch
-  (:func:`~repro.inference.shard.partition_tasks`), exactly as the
-  windowed estimator does;
-* with ``shard_workers`` the worker processes and their transport
-  connections live in one :class:`~repro.inference.shard.ShardWorkerPool`
-  for the whole stream — spawned once, not per window — and each window
-  installs its shards on them with one message per worker.
+running the windowed estimator's per-window recipe on each window.
+Per-window bookkeeping (entry-time estimates, observed-task checks,
+sub-trace restriction via :class:`~repro.events.subset.SubsetIndex`) is
+O(window), independent of how much trace has already streamed past.
 
 Equivalence contract (pinned by ``tests/test_streaming.py``): every
 window of a stream is **bitwise identical** to
 :class:`~repro.online.windowed.WindowedEstimator` on the same sub-trace
-at the same seed, for any shard count, any worker count and any
-transport.
+at the same seed.
 """
 
 from __future__ import annotations
@@ -34,8 +25,6 @@ from repro import telemetry
 from repro.errors import InferenceError
 from repro.events.subset import SubsetIndex, subset_trace
 from repro.inference import run_stem
-from repro.inference.shard import ShardWorkerPool
-from repro.inference.transport import WorkerTransport
 from repro.observation import ObservedTrace
 from repro.online.config import EstimatorConfig, estimator_config_keys
 from repro.online.windowed import (
@@ -43,7 +32,7 @@ from repro.online.windowed import (
     _entry_time_estimates,
     task_fully_observed,
 )
-from repro.rng import RandomState, as_generator, as_seed_sequence
+from repro.rng import RandomState, as_seed_sequence
 
 
 class TraceStream:
@@ -148,14 +137,10 @@ class StreamEstimate(WindowEstimate):
     n_new_tasks / n_aged_out:
         Tasks the stream revealed for this window / tasks that slid out
         of reach before it.
-    n_shards:
-        Effective shard count of the window's sweeps (clamped to the
-        window's task count).
     """
 
     n_new_tasks: int = 0
     n_aged_out: int = 0
-    n_shards: int = 1
 
 
 class StreamingEstimator:
@@ -175,26 +160,18 @@ class StreamingEstimator:
         Seed material, spawned once per window: window *i* consumes the
         *i*-th child, as in
         :class:`~repro.online.windowed.WindowedEstimator`, so a frozen
-        window matches the windowed path bitwise.  ``stream``,
-        ``random_state`` and ``transport`` stay outside the config
-        because they are runtime substrate, not configuration.
-    transport:
-        Worker transport for the stream's shard pool (see
-        :mod:`repro.inference.transport`); pipes by default, sockets for
-        cross-machine workers.  The estimator takes ownership: its
-        :meth:`close` (and therefore :meth:`run`) also closes the
-        transport, releasing e.g. a
-        :class:`~repro.inference.transport.SocketTransport` listener.
+        window matches the windowed path bitwise.  ``stream`` and
+        ``random_state`` stay outside the config because they are
+        runtime substrate, not configuration.
     """
 
     #: Registry name carried in checkpoints (see ``repro.online.ESTIMATORS``).
     estimator_name = "stem"
 
     #: The estimator's counts, named once (see
-    #: :class:`repro.telemetry.Counts`): its ``health`` section.
-    COUNTS = telemetry.Counts(
-        n_worker_relaunches="repro_worker_relaunches_total",
-    )
+    #: :class:`repro.telemetry.Counts`): its ``health`` section.  StEM
+    #: keeps none; the SMC estimator counts its rejuvenations.
+    COUNTS = telemetry.Counts()
 
     def __init__(
         self,
@@ -202,7 +179,6 @@ class StreamingEstimator:
         *,
         config: EstimatorConfig | None = None,
         random_state: RandomState = None,
-        transport: WorkerTransport | None = None,
         **knobs,
     ) -> None:
         if config is None:
@@ -213,91 +189,18 @@ class StreamingEstimator:
             raise InferenceError(
                 "pass either config= or the individual knobs, not both"
             )
-        config.check_estimator(self.estimator_name)
         #: The estimator's validated configuration (single source of truth;
         #: the knob attributes below are read-only views into it).
         self.config = config
         self.stream = stream
-        self.transport = transport
         # One child per window, spawned lazily from the same sequence the
         # windowed estimator spawns up front — identical streams without
         # knowing the window count in advance.
         self._seed_seq = as_seed_sequence(random_state)
         self._entries: dict[int, float] = {}
         self._observed: dict[int, bool] = {}
-        self._pool: ShardWorkerPool | None = None
         self.n_windows_done = 0
-        #: Pools relaunched after dying mid-window (fault observability).
-        self.n_worker_relaunches = 0
         self.COUNTS.bind(self)
-
-    # ------------------------------------------------------------------
-    # Config views.
-    # ------------------------------------------------------------------
-
-    @property
-    def worker_retries(self) -> int:
-        """Relaunch budget per window (see :class:`EstimatorConfig`)."""
-        return self.config.worker_retries
-
-    @worker_retries.setter
-    def worker_retries(self, value: int) -> None:
-        value = int(value)
-        if value < 0:
-            raise InferenceError(f"worker_retries must be >= 0, got {value}")
-        self.config.worker_retries = value
-
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
-
-    @property
-    def pooled(self) -> bool:
-        """Whether the stream's shard pool is currently alive."""
-        return self._pool is not None and not self._pool.closed
-
-    def _ensure_pool(self) -> ShardWorkerPool | None:
-        if self.shards <= 1 or not self.shard_workers:
-            return None
-        if self._pool is None or self._pool.closed:
-            # Clamp like the engine-owned pools do: a worker beyond the
-            # shard count could never host a shard, only idle.
-            self._pool = ShardWorkerPool(
-                min(self.shard_workers, self.shards), transport=self.transport
-            )
-        return self._pool
-
-    def pool_stats(self) -> dict | None:
-        """Liveness probe of the stream's shard pool (``None`` when unpooled).
-
-        What a supervising service folds into its health record: worker
-        pids and alive counts from the pool plus this estimator's
-        relaunch tally, so a killed shard worker is visible to a
-        monitoring consumer before *and* after the recovery path runs.
-        """
-        if self._pool is None:
-            if not (self.shards > 1 and self.shard_workers):
-                return None
-            return {"closed": True, "n_workers": 0, "n_alive": 0,
-                    "pids": [], "n_hosted_shards": 0,
-                    "n_relaunches": self.n_worker_relaunches}
-        stats = self._pool.probe()
-        stats["n_relaunches"] = self.n_worker_relaunches
-        return stats
-
-    def close(self) -> None:
-        """Shut the worker pool and the owned transport down; idempotent."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self.transport is not None:
-            self.transport.close()
-
-    def __enter__(self) -> "StreamingEstimator":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Checkpointing (the live service's crash-recovery hook).
@@ -312,8 +215,6 @@ class StreamingEstimator:
         number of per-window children already spawned from it: window *i*
         always consumes the *i*-th spawn, so a restored estimator's next
         window draws the same stream the uninterrupted run would have.
-        Worker pools and transports are runtime substrate, never state;
-        they are rebuilt on demand and cannot change a draw.
         """
         return {
             "version": 2,
@@ -369,26 +270,9 @@ class StreamingEstimator:
     def _next_window_seed(self) -> np.random.SeedSequence:
         # One incremental spawn from the preserved SeedSequence — the same
         # child the windowed estimator's up-front spawn(n) hands window i.
-        # The *child sequence* (not a generator) is what a window keeps:
-        # a retry after a worker crash rebuilds a fresh generator from it,
-        # so the re-run draws exactly the stream the first attempt did.
+        # The *child sequence* (not a generator) is what a window keeps,
+        # so each estimator flavor derives its own streams from it.
         return self._seed_seq.spawn(1)[0]
-
-    @staticmethod
-    def _attempt_seed(window_seed: np.random.SeedSequence) -> np.random.SeedSequence:
-        # A pristine clone of the window's seed child for one run_stem
-        # attempt.  The sharded path derives shard streams by *spawning*
-        # from the generator's underlying sequence, which advances the
-        # sequence's child counter in place — so handing every attempt the
-        # same SeedSequence object would give a retried window different
-        # shard streams than its first attempt consumed.  Cloning resets
-        # the counter: each attempt spawns the exact children the
-        # uninterrupted run would have.
-        return np.random.SeedSequence(
-            entropy=window_seed.entropy,
-            spawn_key=window_seed.spawn_key,
-            pool_size=window_seed.pool_size,
-        )
 
     def _task_observed(self, task_id: int) -> bool:
         # Only a True verdict is cacheable: a live stream's measurements
@@ -469,41 +353,19 @@ class StreamingEstimator:
             window_trace = self.stream.subset(tasks)
         rates = None
         failure = None
-        relaunches_left = self.worker_retries
-        while True:
-            pool = self._ensure_pool()
-            try:
-                stem = run_stem(
-                    window_trace,
-                    n_iterations=self.stem_iterations,
-                    init_method="heuristic",
-                    # A fresh generator over a pristine clone of the
-                    # window's seed child per attempt: every draw (and
-                    # every shard-stream spawn) is a pure function of the
-                    # seed child and the window inputs, so a retried
-                    # window is bitwise the uninterrupted window.
-                    random_state=as_generator(self._attempt_seed(window_seed)),
-                    kernel=self.kernel,
-                    shards=self.shards,
-                    shard_pool=pool,
-                )
-                rates = stem.rates
-            except InferenceError as exc:
-                if pool is not None and pool.closed and relaunches_left > 0:
-                    # The pool died under the window (a kill -9'd or
-                    # crashed worker shuts the whole pool down).  Relaunch
-                    # it — _ensure_pool sees the closed pool and spawns a
-                    # fresh one — and re-run this window from its own seed.
-                    relaunches_left -= 1
-                    self.n_worker_relaunches += 1
-                    continue
-                failure = str(exc)  # a failed window is data, not a crash
-            break
+        try:
+            rates = run_stem(
+                window_trace,
+                n_iterations=self.stem_iterations,
+                init_method="heuristic",
+                random_state=window_seed,
+                kernel=self.kernel,
+            ).rates
+        except InferenceError as exc:
+            failure = str(exc)  # a failed window is data, not a crash
         return StreamEstimate(
             t0, t1, len(tasks), n_observed, rates, failure,
-            n_new_tasks=len(arrived),
-            n_aged_out=len(aged),
-            n_shards=min(self.shards, len(tasks)),
+            n_new_tasks=len(arrived), n_aged_out=len(aged),
         )
 
     def estimates(self):
@@ -527,27 +389,21 @@ class StreamingEstimator:
             i += 1
 
     def run(self) -> list[StreamEstimate]:
-        """Consume the whole stream; closes the shard pool afterwards."""
-        try:
-            return list(self.estimates())
-        finally:
-            self.close()
+        """Consume the whole stream."""
+        return list(self.estimates())
 
 
 def _config_view(name: str) -> property:
     return property(
         lambda self, _name=name: getattr(self.config, _name),
         doc=f"``{name}`` from the estimator's "
-            ":class:`~repro.online.config.EstimatorConfig` (read-only view; "
-            "``worker_retries`` is the one knob with a validating setter).",
+            ":class:`~repro.online.config.EstimatorConfig` (read-only view).",
     )
 
 
 # Knob attributes delegate to ``self.config`` so there is exactly one copy
 # of every setting; read sites (service health, CLI summaries, tests) keep
 # working unchanged.
-# ``worker_retries`` keeps its own property, the one with a setter.
 for _name in estimator_config_keys():
-    if not hasattr(StreamingEstimator, _name):
-        setattr(StreamingEstimator, _name, _config_view(_name))
+    setattr(StreamingEstimator, _name, _config_view(_name))
 del _name

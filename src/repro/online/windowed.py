@@ -72,7 +72,7 @@ def _entry_time_estimates(trace: ObservedTrace) -> dict[int, float]:
 
 
 def validate_window_params(
-    window: float, step: float | None, stem_iterations: int, shards: int
+    window: float, step: float | None, stem_iterations: int
 ) -> None:
     """The window-estimation parameter contract, shared by the windowed
     and streaming estimators so the two can never drift apart.  Each
@@ -87,8 +87,6 @@ def validate_window_params(
         raise InferenceError(
             f"stem_iterations must be >= 1, got {stem_iterations}"
         )
-    if shards < 1:
-        raise InferenceError(f"shards must be >= 1, got {shards}")
 
 
 def task_fully_observed(trace: ObservedTrace, task_id: int) -> bool:
@@ -120,11 +118,6 @@ class WindowedEstimator:
         suffices).
     min_observed_tasks:
         Windows with fewer fully observed tasks are skipped (``rates=None``).
-    shards:
-        Sharded sweeps for every window's StEM E-steps (see
-        :func:`~repro.inference.stem.run_stem`); the shard count is
-        clamped to each window's task count, so small windows fall back
-        to the plain kernel automatically.
     kernel:
         Sweep kernel for every window's E-step chains (see
         :class:`~repro.inference.gibbs.GibbsSampler`).
@@ -138,17 +131,15 @@ class WindowedEstimator:
         stem_iterations: int = 40,
         min_observed_tasks: int = 3,
         random_state: RandomState = None,
-        shards: int = 1,
         kernel: str = "array",
     ) -> None:
-        validate_window_params(window, step, stem_iterations, shards)
+        validate_window_params(window, step, stem_iterations)
         self.trace = trace
         self.window = float(window)
         self.step = float(step) if step is not None else float(window)
         self.stem_iterations = int(stem_iterations)
         self.min_observed_tasks = int(min_observed_tasks)
         self._random_state = random_state
-        self.shards = int(shards)
         self.kernel = str(kernel)
         self._entries = _entry_time_estimates(trace)
         self._subset_index = SubsetIndex(trace.skeleton)
@@ -186,7 +177,6 @@ class WindowedEstimator:
                     init_method="heuristic",
                     random_state=stream,
                     kernel=self.kernel,
-                    shards=self.shards,
                 )
                 rates = stem.rates
             except InferenceError as exc:

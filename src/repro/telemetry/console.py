@@ -2,7 +2,7 @@
 
 ``render_top`` turns one polling round's replies (``health``,
 ``estimates``, a ``metrics`` snapshot, and optionally ``anomalies``)
-into a fixed-width terminal frame: tier status and worker liveness,
+into a fixed-width terminal frame: tier status and partition liveness,
 per-queue rate and utilization sparklines with anomaly flags,
 phase-latency bars, and the stream's admission counters.  It touches no
 sockets and no global state, so tests drive it with plain dicts.
@@ -131,15 +131,7 @@ def render_top(
         + (f"   error: {service['error']}" if service.get("error") else "")
     )
 
-    # -- workers / partitions ------------------------------------------
-    workers = (health or {}).get("workers")
-    if isinstance(workers, dict):
-        total = int(workers.get("n_workers", 0))
-        alive = int(workers.get("n_alive", 0))
-        lines.append(
-            f"workers   {liveness_dots(alive, total)} {alive}/{total} alive"
-            f"   relaunches {workers.get('n_relaunches', 0)}"
-        )
+    # -- partitions -----------------------------------------------------
     router = (health or {}).get("router")
     if isinstance(router, dict):
         partitions = (health or {}).get("partitions") or []

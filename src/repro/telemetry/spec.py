@@ -84,11 +84,7 @@ SPEC: dict[str, tuple[str, str, str]] = {
         "Windows skipped for insufficient observed tasks."),
     "repro_windows_failed_total": (
         "counter", "estimator",
-        "Windows that exhausted worker-relaunch retries and published a failure."),
-    "repro_worker_relaunches_total": (
-        "counter", "estimator",
-        "Shard worker pool relaunches after a worker death, since the "
-        "estimator was built (health estimator.n_worker_relaunches)."),
+        "Windows whose estimation raised an InferenceError and published a failure."),
     "repro_smc_ess": (
         "gauge", "estimator",
         "Effective sample size of the SMC particle population after the last reweight."),

@@ -49,61 +49,6 @@ class TestSubsetTasks:
         )
 
 
-class TestMergeTaskSubsets:
-    def test_round_trip_two_blocks(self, tandem_sim):
-        from repro.events import merge_task_subsets
-
-        ev = tandem_sim.events
-        blocks = [ev.task_ids[::2], ev.task_ids[1::2]]
-        merged = merge_task_subsets([subset_tasks(ev, b) for b in blocks])
-        np.testing.assert_array_equal(merged.arrival, ev.arrival)
-        np.testing.assert_array_equal(merged.task, ev.task)
-        for q in range(ev.n_queues):
-            np.testing.assert_array_equal(merged.queue_order(q), ev.queue_order(q))
-
-    def test_unvisited_queue_merges_to_empty_order(self):
-        """Regression: a queue no task ever visits must not crash the merge."""
-        from repro.events import EventSet, merge_task_subsets
-
-        ev = EventSet.from_task_paths(
-            entries=[1.0, 1.5],
-            paths=[[1], [1]],
-            arrivals=[[1.0], [1.5]],
-            departures=[[1.2], [1.9]],
-            n_queues=3,  # queue 2 unused
-        )
-        parts = [subset_tasks(ev, [0]), subset_tasks(ev, [1])]
-        merged = merge_task_subsets(parts)
-        assert merged.queue_order(2).size == 0
-        np.testing.assert_array_equal(merged.arrival, ev.arrival)
-        merged.validate()
-
-    def test_rejects_censored_subsets(self, tandem_sim):
-        """Regression: nan times cannot reconstruct frozen orders — the
-        merge must refuse rather than silently return wrong rho pointers."""
-        from repro.events import merge_task_subsets
-
-        trace = TaskSampling(fraction=0.3).observe(tandem_sim.events, random_state=0)
-        skel = trace.skeleton
-        blocks = [skel.task_ids[::2], skel.task_ids[1::2]]
-        with pytest.raises(InvalidEventSetError, match="censored"):
-            merge_task_subsets([subset_tasks(skel, b) for b in blocks])
-
-    def test_rejects_non_partition(self, tandem_sim):
-        from repro.events import merge_task_subsets
-
-        ev = tandem_sim.events
-        with pytest.raises(InvalidEventSetError):
-            # A gap: task 0's events (indices 0..k) are missing.
-            merge_task_subsets([subset_tasks(ev, ev.task_ids[5:10])])
-        with pytest.raises(InvalidEventSetError):
-            # An overlap: the same block twice.
-            half = ev.task_ids[: ev.n_tasks // 2]
-            merge_task_subsets([subset_tasks(ev, half), subset_tasks(ev, half)])
-        with pytest.raises(InvalidEventSetError):
-            merge_task_subsets([])
-
-
 class TestSubsetTrace:
     def test_masks_follow(self, tandem_sim):
         trace = TaskSampling(fraction=0.3).observe(tandem_sim.events, random_state=0)

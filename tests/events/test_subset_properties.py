@@ -1,23 +1,19 @@
-"""Hypothesis property tests for task-subset round-trips.
+"""Hypothesis property tests for task subsets.
 
-The sharded sweep engine rests on two structural facts this suite pins
-over randomized traces and partitions:
+Windowed and streaming estimation rest on two structural facts this
+suite pins over randomized traces:
 
-* ``subset_tasks`` over *any* disjoint task partition loses nothing —
-  :func:`~repro.events.subset.merge_task_subsets` recombines the blocks
-  into the original event set exactly (event counts, every column, and
-  each queue's frozen ordering), including after structural mutation
-  (``structure_version`` semantics: subsets snapshot the *current*
-  order and start their own version counter at 0);
-* boundary-event sets are symmetric across every shard cut — an event
-  faces shard ``b`` exactly when one of its queue neighbors faces back.
+* ``subset_tasks`` keeps each queue's frozen order restricted to the
+  chosen tasks;
+* subsets snapshot the *current* structure (``structure_version``
+  semantics: they start their own version counter at 0) and share no
+  mutable state with the original.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.events import EventSet, merge_task_subsets, subset_tasks
-from repro.inference.shard import boundary_event_sets, partition_tasks
+from repro.events import EventSet, subset_tasks
 from repro.network import build_tandem_network
 from repro.simulate import simulate_network
 
@@ -27,15 +23,6 @@ def _simulated_events(n_tasks: int, n_stations: int, seed: int) -> EventSet:
     return simulate_network(net, n_tasks, random_state=seed).events
 
 
-def _partition_blocks(events: EventSet, labels: list[int]) -> list[list[int]]:
-    """Group task ids by hypothesis-drawn labels; drop empty blocks."""
-    task_ids = events.task_ids
-    blocks: dict[int, list[int]] = {}
-    for task, label in zip(task_ids, labels):
-        blocks.setdefault(label, []).append(task)
-    return list(blocks.values())
-
-
 trace_strategy = st.tuples(
     st.integers(min_value=3, max_value=14),   # tasks
     st.integers(min_value=2, max_value=3),    # tandem stations
@@ -43,46 +30,7 @@ trace_strategy = st.tuples(
 )
 
 
-@st.composite
-def trace_and_labels(draw):
-    n_tasks, n_stations, seed = draw(trace_strategy)
-    labels = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=3),
-            min_size=n_tasks,
-            max_size=n_tasks,
-        )
-    )
-    return n_tasks, n_stations, seed, labels
-
-
-def assert_event_sets_equal(a: EventSet, b: EventSet) -> None:
-    np.testing.assert_array_equal(a.task, b.task)
-    np.testing.assert_array_equal(a.seq, b.seq)
-    np.testing.assert_array_equal(a.queue, b.queue)
-    np.testing.assert_array_equal(a.arrival, b.arrival)
-    np.testing.assert_array_equal(a.departure, b.departure)
-    np.testing.assert_array_equal(a.state, b.state)
-    assert a.n_queues == b.n_queues
-    for q in range(a.n_queues):
-        np.testing.assert_array_equal(a.queue_order(q), b.queue_order(q))
-
-
 class TestPartitionRoundTrip:
-    @settings(max_examples=40, deadline=None)
-    @given(trace_and_labels())
-    def test_merge_recombines_exactly(self, drawn):
-        n_tasks, n_stations, seed, labels = drawn
-        events = _simulated_events(n_tasks, n_stations, seed)
-        parts = [
-            subset_tasks(events, block)
-            for block in _partition_blocks(events, labels)
-        ]
-        merged = merge_task_subsets(parts)
-        assert merged.n_events == events.n_events
-        assert_event_sets_equal(events, merged)
-        merged.validate()
-
     @settings(max_examples=25, deadline=None)
     @given(trace_strategy)
     def test_subset_preserves_per_queue_order_restriction(self, drawn):
@@ -127,40 +75,3 @@ class TestPartitionRoundTrip:
         before = events.arrival.copy()
         subset.arrival[:] = -1.0
         np.testing.assert_array_equal(events.arrival, before)
-
-
-class TestBoundarySymmetry:
-    @settings(max_examples=30, deadline=None)
-    @given(trace_and_labels())
-    def test_boundary_sets_symmetric_across_every_cut(self, drawn):
-        n_tasks, n_stations, seed, labels = drawn
-        events = _simulated_events(n_tasks, n_stations, seed)
-        n_shards = min(1 + max(labels), n_tasks) if labels else 1
-        partition = partition_tasks(events, n_shards)
-        sets = boundary_event_sets(events, partition)
-        sv = partition.event_shards(events)
-        for (a, b), members in sets.items():
-            assert (b, a) in sets, f"cut ({a}, {b}) has no mirror"
-            mirror = set(sets[(b, a)].tolist())
-            for e in map(int, members):
-                assert int(sv[e]) == a
-                neighbors = {int(events.rho[e]), int(events.rho_inv[e])}
-                neighbors.discard(-1)
-                assert neighbors & mirror, (
-                    f"event {e} in ({a}, {b}) has no neighbor in ({b}, {a})"
-                )
-
-    @settings(max_examples=20, deadline=None)
-    @given(trace_strategy, st.integers(min_value=1, max_value=5))
-    def test_cut_size_bounds_boundary_pairs(self, drawn, n_shards):
-        n_tasks, n_stations, seed = drawn
-        events = _simulated_events(n_tasks, n_stations, seed)
-        partition = partition_tasks(events, n_shards)
-        sets = boundary_event_sets(events, partition)
-        n_cross_events = sum(v.size for v in sets.values())
-        if partition.cut_size == 0:
-            assert n_cross_events == 0
-        else:
-            # Each cross-shard adjacent event pair contributes exactly two
-            # directed memberships, deduplicated per (event, cut) cell.
-            assert 0 < n_cross_events <= 2 * partition.cut_size

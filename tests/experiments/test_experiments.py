@@ -97,6 +97,19 @@ class TestFig5:
         spread = result.stability_spread(q=12, min_fraction=0.2)
         assert spread >= 0.0
 
+    def test_queue_without_events_reads_no_data(self, result):
+        """The starved server gets no request here: it records no
+        estimate, never the rate clamp, and its table cells say so."""
+        starved = result.starved_queue()
+        assert result.requests_per_queue[starved] == 0
+        for f in result.fractions:
+            assert not np.isfinite(result.service[f][starved])
+            assert not np.isfinite(result.waiting[f][starved])
+        _, rows = result.table("service")
+        row = rows[starved - 1]
+        assert row[0] == result.queue_names[starved]
+        assert row[2:] == ("no data",) * (len(result.fractions) + 1)
+
     def test_paper_config_scale(self):
         config = paper_fig5_config()
         assert config.webapp.n_requests == 5759

@@ -95,7 +95,6 @@ class TestCapability:
             sampler = GibbsSampler(tandem_trace, state.copy(), rates,
                                    random_state=0, kernel=name)
             assert type(sampler._array_kernel) is cls
-            sampler.close()
 
     def test_native_kernel_pickles_across_capability(
         self, tandem_trace, tandem_sim
@@ -107,7 +106,6 @@ class TestCapability:
         kernel = pickle.loads(pickle.dumps(sampler._array_kernel))
         # Capability is decided per process, never baked into the pickle.
         assert kernel.native_active is NUMBA_AVAILABLE
-        sampler.close()
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +252,7 @@ class TestFusedLoops:
     @pytest.fixture(scope="class")
     def warm(self):
         sampler = warm_array_sampler()
-        yield sampler
-        sampler.close()
+        return sampler
 
     def _native_twin(self, warm):
         array = warm._array_kernel
@@ -318,7 +315,6 @@ class TestFallback:
                                    random_state=33, kernel=name)
             sampler.run(5)
             runs[name] = (state.arrival.copy(), state.departure.copy())
-            sampler.close()
         if not NUMBA_AVAILABLE:
             np.testing.assert_array_equal(runs["array"][0], runs["native"][0])
             np.testing.assert_array_equal(runs["array"][1], runs["native"][1])
@@ -337,18 +333,3 @@ class TestFallback:
         sampler = GibbsSampler(tandem_trace, state, rates, random_state=0,
                                kernel="native")
         assert sampler._array_kernel.native_active is False
-        sampler.close()
-
-    def test_native_counts_as_batch_kernel_for_shards(
-        self, tandem_trace, tandem_sim
-    ):
-        rates = tandem_sim.true_rates()
-        state = heuristic_initialize(tandem_trace, rates)
-        # object kernel + shards is still rejected ...
-        with pytest.raises(InferenceError, match="array kernel"):
-            GibbsSampler(tandem_trace, state, rates, kernel="object", shards=2)
-        # ... while native passes the same gate array does.
-        sampler = GibbsSampler(tandem_trace, state, rates, random_state=3,
-                               kernel="native", shards=2)
-        sampler.sweep()
-        sampler.close()

@@ -119,8 +119,8 @@ class TestPoolMechanics:
             # set_rates inside the worker rejects the negative rate.
             pool.step(np.array([4.0, -6.0, 9.0]))
         assert pool.closed
-        for handle in pool._handles:
-            assert not handle.is_alive()
+        for proc, _ in pool._workers:
+            assert not proc.is_alive()
         pool.close()  # idempotent
         with pytest.raises(InferenceError, match="closed"):
             pool.step(sim.true_rates())
@@ -133,10 +133,10 @@ class TestPoolMechanics:
         pool = PersistentChainPool(
             self._recipes(trace, sim.true_rates(), n_chains=2), workers=2
         )
-        for handle in pool._handles:
-            handle.terminate()
-            handle.join(timeout=5.0)
-            handle.close_endpoint()
+        for proc, conn in pool._workers:
+            proc.terminate()
+            proc.join(timeout=5.0)
+            conn.close()
         with pytest.raises(InferenceError, match="failed"):
             pool.step(sim.true_rates())
         assert pool.closed

@@ -37,7 +37,7 @@ from repro.simulate import simulate_network
 from repro.telemetry.spec import kind_of
 
 #: Sections every schema-1 health record must carry.
-SECTIONS = ("service", "stream", "workers")
+SECTIONS = ("service", "stream", "estimator")
 
 
 def make_trace(n_tasks=120, seed=3, fraction=0.4):
@@ -470,9 +470,9 @@ def test_each_count_reads_the_same_in_metrics_and_health(
             m for m in metrics["metrics"]
             if m["name"].startswith("repro_router_") and m["labels"]
         ]
-    # Every owned series is exposed: 8 stream + 4 service + 2 estimator +
+    # Every owned series is exposed: 8 stream + 4 service + 1 estimator +
     # 2 server counts per service, plus the router's own 6.
-    assert n_checked == (16 if front == "service" else 2 * 16 + 6 + 2)
+    assert n_checked == (15 if front == "service" else 2 * 15 + 6 + 2)
     if case == "sealed-with-drops":
         assert health["stream"]["n_dropped_tasks"] == len(UNFINISHABLE)
     if case == "restored":

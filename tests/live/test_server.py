@@ -37,6 +37,22 @@ def make_service(trace, horizon, windows=3, **est_kwargs):
     return EstimatorService(estimator, poll_interval=0.02)
 
 
+#: Calls of :func:`_tripwire`: a frame that reaches ``pickle.loads``
+#: leaves its mark here.
+_TRIPPED: list = []
+
+
+def _tripwire(tag):
+    _TRIPPED.append(tag)
+
+
+class _Tripwire:
+    """Unpickles as a call to :func:`_tripwire`."""
+
+    def __reduce__(self):
+        return (_tripwire, ("unpickled",))
+
+
 def wait_until(client, statuses=("finished", "failed"), timeout=90.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -147,6 +163,70 @@ class TestProtocolErrors:
             assert server.n_rejected == 1
             with LiveClient(server.address, authkey=b"k") as client:
                 assert client.health()["status"] == "serving"
+
+    def test_connector_that_skips_the_handshake_is_never_unpickled(self):
+        """A peer that sends a frame straight away, with no handshake, is
+        dropped and counted before any byte of its frame is unpickled."""
+        import pickle
+        import struct
+
+        trace, horizon = make_trace(n_tasks=60)
+        service = make_service(trace, horizon)
+        payload = pickle.dumps((_Tripwire(), "x" * 256))
+        frame = struct.pack(">Q", len(payload)) + payload
+        _TRIPPED.clear()
+        with service, LiveServer(service, authkey=b"k") as server:
+            sock = socket.create_connection(server.address)
+            sock.settimeout(10.0)
+            sock.sendall(frame)
+            received = b""
+            try:
+                while chunk := sock.recv(4096):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # dropped with the rest of the frame unread
+            sock.close()
+            assert len(received) <= 32  # the server's nonce, no reply frame
+            deadline = time.time() + 5.0
+            while server.n_rejected == 0 and time.time() < deadline:
+                time.sleep(0.01)
+            assert server.n_rejected == 1
+            assert _TRIPPED == []
+            with LiveClient(server.address, authkey=b"k") as client:
+                assert client.health()["status"] == "serving"
+
+    def test_client_refuses_a_server_that_cannot_prove_the_key(self):
+        """The dialing side checks the server's proof too: a peer that
+        cannot compute it gets no frame, and the client names the cause."""
+        import threading
+
+        from repro.inference.transport import _recv_exact_from
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = listener.getsockname()[:2]
+        leaked = {}
+
+        def rogue_server():
+            conn, _ = listener.accept()
+            conn.settimeout(10.0)
+            conn.sendall(b"\x03" * 32)         # its nonce
+            _recv_exact_from(conn, 64)         # the client's proof and nonce
+            conn.sendall(b"\x00" * 32)         # a proof it cannot compute
+            leaked["bytes"] = conn.recv(4096)  # the client must hang up
+            conn.close()
+
+        thread = threading.Thread(target=rogue_server, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(
+                IngestError, match="handshake with .* failed: wrong authkey"
+            ):
+                LiveClient(address, authkey=b"k")
+            thread.join(10.0)
+            assert not thread.is_alive()
+            assert leaked["bytes"] == b""
+        finally:
+            listener.close()
 
     def test_unknown_command_and_bad_arguments_get_error_replies(self):
         trace, horizon = make_trace(n_tasks=60)

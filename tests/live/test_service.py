@@ -179,15 +179,13 @@ class TestCheckpointRestore:
         ref_stream = LiveTraceStream(n_queues=trace.skeleton.n_queues)
         ref_stream.ingest(trace_to_records(trace))
         ref_stream.seal()
-        ref = make_estimator(
-            ref_stream, horizon, shards=2, shard_workers=2,
-        ).run()
+        ref = make_estimator(ref_stream, horizon).run()
         assert sum(w.ok for w in ref) >= 3
         # Interrupted run: ingest 60%, let some windows publish, "crash".
         ckpt = str(tmp_path / "service.ckpt")
         stream1 = LiveTraceStream(n_queues=trace.skeleton.n_queues)
         service1 = EstimatorService(
-            make_estimator(stream1, horizon, shards=2, shard_workers=2),
+            make_estimator(stream1, horizon),
             checkpoint_path=ckpt, poll_interval=0.02,
         )
         cut = int(len(batches) * 0.6)

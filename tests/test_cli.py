@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import pickle
 import re
 import socket
 import threading
@@ -104,34 +105,6 @@ class TestInfer:
         assert "bottleneck ranking" in text
         assert "verdict" in text
 
-    def test_infer_sharded(self, tmp_path, capsys):
-        out = tmp_path / "trace.jsonl"
-        main([
-            "simulate", "--topology", "tandem", "--tasks", "80",
-            "--arrival-rate", "4", "--service-rate", "8",
-            "--servers", "1", "2", "--seed", "3", "--out", str(out),
-        ])
-        capsys.readouterr()
-        code = main([
-            "infer", str(out), "--observe", "0.3", "--iterations", "20",
-            "--seed", "0", "--shards", "2",
-        ])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "estimated arrival rate" in text
-        assert "bottleneck ranking" in text
-
-    def test_infer_rejects_bad_shards(self, tmp_path):
-        out = tmp_path / "trace.jsonl"
-        main([
-            "simulate", "--topology", "tandem", "--tasks", "20",
-            "--servers", "1", "2", "--out", str(out),
-        ])
-        with pytest.raises(SystemExit):
-            main(["infer", str(out), "--shards", "0"])
-        with pytest.raises(SystemExit, match="array kernel"):
-            main(["infer", str(out), "--shards", "2", "--kernel", "object"])
-
     def test_infer_threads_and_native_round_trip(self, tmp_path, capsys):
         """--kernel native reaches the sampler through the CLI; without
         numba its estimates are bitwise the array kernel's."""
@@ -182,7 +155,7 @@ class TestInfer:
 
 
 class TestStream:
-    def test_stream_pipeline_with_warm_shard_workers(self, tmp_path, capsys):
+    def test_stream_pipeline(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
         main([
             "simulate", "--topology", "tandem", "--tasks", "150",
@@ -192,34 +165,12 @@ class TestStream:
         capsys.readouterr()
         code = main([
             "stream", str(out), "--observe", "0.3", "--windows", "3",
-            "--iterations", "8", "--seed", "0", "--shards", "2",
-            "--shard-workers", "2",
+            "--iterations", "8", "--seed", "0",
         ])
         assert code == 0
         text = capsys.readouterr().out
         assert "streaming window estimates" in text
         assert "anomal" in text  # either the table or "no anomalies flagged"
-
-    def test_stream_serial_and_cold_workers(self, tmp_path, capsys):
-        out = tmp_path / "trace.jsonl"
-        main([
-            "simulate", "--topology", "tandem", "--tasks", "100",
-            "--servers", "1", "2", "--seed", "5", "--out", str(out),
-        ])
-        capsys.readouterr()
-        code = main([
-            "stream", str(out), "--observe", "0.3", "--windows", "2",
-            "--iterations", "6", "--seed", "1",
-        ])
-        assert code == 0
-        assert "win" in capsys.readouterr().out
-        code = main([
-            "stream", str(out), "--observe", "0.3", "--windows", "2",
-            "--iterations", "6", "--seed", "1", "--shards", "2",
-            "--shard-workers", "1",
-        ])
-        assert code == 0
-        assert "win" in capsys.readouterr().out
 
 
 class TestServeIngest:
@@ -268,15 +219,12 @@ class TestServeIngest:
             main(["serve"])
         with pytest.raises(SystemExit, match="window must be positive"):
             main(["serve", "--queues", "3", "--window", "0"])
-        with pytest.raises(SystemExit, match="--shard-workers requires"):
-            main(["serve", "--queues", "3", "--window", "1",
-                  "--shard-workers", "2"])
         with pytest.raises(SystemExit, match="--restore resumes"):
             main(["serve", "--restore", "x.ckpt", "--window", "1"])
         # Every estimator/stream flag is frozen by the checkpoint; passing
         # one must be an error, not a silent ignore.
-        with pytest.raises(SystemExit, match="--shards"):
-            main(["serve", "--restore", "x.ckpt", "--shards", "4"])
+        with pytest.raises(SystemExit, match="--iterations"):
+            main(["serve", "--restore", "x.ckpt", "--iterations", "4"])
         with pytest.raises(SystemExit, match="--lateness"):
             main(["serve", "--restore", "x.ckpt", "--lateness", "5"])
         with pytest.raises(SystemExit, match="--kernel"):
@@ -287,9 +235,8 @@ class TestServeIngest:
     #: Every field a checkpoint fixes: the stream's and the estimator's.
     FROZEN = (
         "n_queues", "window", "step", "stem_iterations", "min_observed_tasks",
-        "seed", "shards", "shard_workers", "kernel", "lateness",
-        "max_pending", "retain", "estimator", "n_particles",
-        "ess_threshold", "rejuvenation_sweeps", "worker_retries",
+        "seed", "kernel", "lateness", "max_pending", "retain", "estimator",
+        "n_particles", "ess_threshold", "rejuvenation_sweeps",
     )
 
     def test_frozen_fields_are_every_flag_but_the_service_options(self):
@@ -310,8 +257,6 @@ class TestServeIngest:
     def test_serve_restore_rejects_a_record_log_checkpoint(self, tmp_path):
         """A checkpoint whose stream snapshot is version 2 (finalized tasks
         as a record-dict log) exits through the restore error path."""
-        import pickle
-
         from repro.live import (
             EstimatorService,
             LiveTraceStream,
@@ -347,6 +292,26 @@ class TestServeIngest:
             SystemExit, match="cannot restore .*snapshot version: 2"
         ):
             main(["serve", "--restore", path])
+
+    @pytest.mark.parametrize("content,defect", [
+        (b"", r"does not unpickle \(EOFError"),
+        (b"garbage", r"does not unpickle \(UnpicklingError"),
+        (pickle.dumps([1, 2]), "holds a list, not a snapshot record"),
+        (pickle.dumps({"version": 1}), r"lacks the snapshot sections \['stream'"),
+    ], ids=["empty", "garbage", "list", "version-only"])
+    def test_restore_of_a_damaged_checkpoint_exits_cleanly(
+        self, tmp_path, content, defect
+    ):
+        """A file that is not a snapshot exits through "cannot restore",
+        naming the file and its defect, instead of a traceback."""
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--restore", str(path)])
+        message = str(info.value)
+        assert message.startswith(f"cannot restore from {path}: checkpoint ")
+        assert repr(str(path)) in message
+        assert re.search(defect, message)
 
     def test_ingest_validation(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -481,11 +446,6 @@ BAD_CONFIG = [
     (["--queues", "1"], "--queues"),
     (["--iterations", "0"], "--iterations"),
     (["--estimator", "smc", "--particles", "1"], "--particles"),
-    # The four cross-field rules, stated once in the config.
-    (["--shards", "0"], "--shards"),
-    (["--shard-workers", "2"], "--shard-workers"),
-    (["--shards", "2", "--kernel", "object"], "--shards"),
-    (["--estimator", "smc", "--shards", "2"], "--estimator"),
 ]
 
 
@@ -535,6 +495,15 @@ class TestConfigFlags:
         assert {"estimator", "seed", "anomaly_threshold"} <= taken
         assert "poll_interval" not in taken
 
+    def test_parallel_sweep_flags_are_gone(self):
+        gone = {"--shards", "--shard-workers", "--worker-retries", "--transport"}
+        for command in ("infer", *CONFIG_COMMANDS):
+            options = {
+                option for action in subparser(command)._actions
+                for option in action.option_strings
+            }
+            assert not options & gone, command
+
     def test_readme_config_table_matches_the_fields(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         assert readme.count(render_config_table()) == 1, (
@@ -552,21 +521,15 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit):
             main(["experiment", "fig9"])
 
-    def test_stream_rejects_bad_shards(self, tmp_path):
+    def test_stream_rejects_bad_windows(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         main([
             "simulate", "--topology", "tandem", "--tasks", "30",
             "--servers", "1", "2", "--out", str(out),
         ])
         with pytest.raises(SystemExit):
-            main(["stream", str(out), "--shards", "0"])
-        with pytest.raises(SystemExit):
-            main(["stream", str(out), "--shards", "2", "--shard-workers", "0"])
-        with pytest.raises(SystemExit):
             main(["stream", str(out), "--window", "0"])
         with pytest.raises(SystemExit):
             main(["stream", str(out), "--step", "-1"])
         with pytest.raises(SystemExit):
             main(["stream", str(out), "--windows", "0"])
-        with pytest.raises(SystemExit):  # transport without workers: no-op combo
-            main(["stream", str(out), "--transport", "socket"])

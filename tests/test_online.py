@@ -70,24 +70,8 @@ class TestWindowedEstimator:
             WindowedEstimator(tandem_trace, window=-1.0)
         with pytest.raises(InferenceError):
             WindowedEstimator(tandem_trace, window=1.0, step=0.0)
-        with pytest.raises(InferenceError):
-            WindowedEstimator(tandem_trace, window=1.0, shards=0)
         with pytest.raises(InferenceError):  # config error, not "all windows failed"
             WindowedEstimator(tandem_trace, window=1.0, stem_iterations=0)
-
-    def test_sharded_windows_estimate(self, tandem_trace):
-        """Sharded per-window StEM runs end to end; tiny windows clamp the
-        shard count to their task count automatically."""
-        horizon = float(np.nanmax(tandem_trace.skeleton.departure))
-        estimator = WindowedEstimator(
-            tandem_trace, window=horizon / 2, stem_iterations=15,
-            random_state=9, shards=3,
-        )
-        results = estimator.run()
-        assert any(w.ok for w in results)
-        for w in results:
-            if w.ok:
-                assert np.all(np.isfinite(w.rates))
 
 
 def synthetic_single_queue_trace(entries, service=0.4):

@@ -291,7 +291,9 @@ class TestConsole:
                         "anomalies": 1, "horizon": 20.0,
                         "n_records_seen": 100},
             "stream": {"watermark": 10.0, "sealed": False},
-            "workers": {"n_workers": 4, "n_alive": 3, "n_relaunches": 1},
+            "router": {"n_restarts": 1},
+            "partitions": [{"status": "serving"}] * 3
+            + [{"status": "unreachable"}],
         }
         estimates = [
             {"index": 0, "rates": [2.0, 5.0, 8.0], "failure": None},
@@ -304,7 +306,7 @@ class TestConsole:
         health, estimates, report, anomalies = self._inputs(reg)
         frame = render_top(health, estimates, report, anomalies)
         assert "SERVING" in frame
-        assert "●●●○" in frame  # 3/4 workers alive
+        assert "●●●○" in frame  # 3/4 partitions up
         assert "arrival λ" in frame and "queue 2 µ" in frame
         assert "util ρ" in frame
         assert "⚠1" in frame  # anomaly flag on queue 2

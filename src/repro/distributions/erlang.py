@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import ServiceDistribution
 from repro.rng import RandomState, as_generator
@@ -41,6 +40,8 @@ class Erlang(ServiceDistribution):
         return rng.gamma(shape=self.k, scale=1.0 / self.rate, size=size)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -np.inf)
         ok = x > 0.0

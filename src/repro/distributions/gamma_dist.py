@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import ServiceDistribution
 from repro.rng import RandomState, as_generator
@@ -34,6 +33,8 @@ class Gamma(ServiceDistribution):
         return rng.gamma(shape=self.shape, scale=1.0 / self.rate, size=size)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -np.inf)
         ok = x > 0.0
@@ -61,6 +62,8 @@ class Gamma(ServiceDistribution):
         Solves ``log(shape) - digamma(shape) = log(mean) - mean(log x)``
         starting from the Minka (2002) closed-form initializer.
         """
+        from scipy import special
+
         arr = cls._validate_samples(samples)
         arr = np.maximum(arr, 1e-300)
         mean = float(arr.mean())

@@ -28,8 +28,6 @@ Solved with SciPy's HiGHS backend on sparse matrices.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.errors import InfeasibleInitializationError
 from repro.events import EventSet
@@ -58,6 +56,11 @@ def lp_initialize(trace: ObservedTrace, rates: np.ndarray) -> EventSet:
     InfeasibleInitializationError
         If HiGHS reports the constraints infeasible.
     """
+    # Imported here so that processes which never solve the LP (every
+    # live window runs the heuristic initializer) never load scipy.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     skeleton = trace.skeleton
     rates = np.asarray(rates, dtype=float)
     n = skeleton.n_events

@@ -1,6 +1,6 @@
 """Tests for the shared-nothing multi-service tier (repro.live.router).
 
-Three layers:
+Four layers:
 
 * **Partition math** — the block-cyclic stripe and the slot rebase are
   pure functions; the rebase must enumerate each partition's entry slots
@@ -9,12 +9,15 @@ Three layers:
 * **Tier end-to-end** — two real service processes behind one router,
   fronted by the stock :class:`LiveServer`: an unmodified
   :class:`LiveClient` drives the whole tier through one address.
+* **Replay spool** — on an unstarted router: eviction by whole batches,
+  trimming by checkpoint coverage, batches held pickled until replay.
 * **Crash recovery** — SIGKILL one partition's process mid-stream; the
   router restarts it from its checkpoint, replays the spooled tail, and
   the tier's final estimates are bitwise the unkilled run's.
 """
 
 import os
+import pickle
 import signal
 import time
 
@@ -216,6 +219,84 @@ class TestTierEndToEnd:
             assert sealed["unroutable_records"] == len(orphans)
             health = router.health()
             assert health["router"]["n_unroutable"] == len(orphans)
+
+
+class TestSpool:
+    """The replay spool on an unstarted router (no processes): bounded by
+    whole batches, trimmed by checkpoint coverage, held encoded until a
+    replay decodes it."""
+
+    @staticmethod
+    def spooled(max_spool_records):
+        """Route and spool a 60-task trace in 8-task batches over two
+        partitions; returns the router and each partition's groups in
+        routing order."""
+        trace, horizon = make_trace(n_tasks=60)
+        router = IngestRouter(2, tier_config(trace, horizon), block=4,
+                              max_spool_records=max_spool_records)
+        routed = {0: [], 1: []}
+        for _, batch in replay_batches(trace, batch_tasks=8):
+            for p, group in router._route(batch).items():
+                routed[p].append(group)
+                # The clock a service would ack: records it has seen.
+                clock = sum(len(g) for g in routed[p])
+                router._spool(router._partitions[p], group, clock)
+        return router, routed
+
+    def test_eviction_drops_the_oldest_whole_batches(self):
+        bound = 40
+        router, routed = self.spooled(max_spool_records=bound)
+        for p, groups in routed.items():
+            handle = router._partitions[p]
+            sizes = [len(g) for g in groups]
+            clocks = [sum(sizes[:i + 1]) for i in range(len(sizes))]
+            kept = len(handle.spool)
+            assert 1 <= kept < len(groups)
+            # The newest batches stay, whole; no older one would fit.
+            assert [entry[0] for entry in handle.spool] == clocks[-kept:]
+            assert handle.spool_records == sum(sizes[-kept:]) <= bound
+            assert sum(sizes[-kept - 1:]) > bound
+            assert handle.n_spool_evicted == sum(sizes[:-kept])
+        counts = router.COUNTS.read(router)
+        assert counts["spool_records"] + counts["n_spool_evicted"] == sum(
+            len(g) for groups in routed.values() for g in groups
+        )
+
+    def test_eviction_keeps_at_least_one_batch(self):
+        router, routed = self.spooled(max_spool_records=1)
+        for p, groups in routed.items():
+            handle = router._partitions[p]
+            assert [entry[0] for entry in handle.spool] == [
+                sum(len(g) for g in groups)
+            ]
+            assert handle.spool_records == len(groups[-1])
+            assert handle.n_spool_evicted == sum(len(g) for g in groups[:-1])
+
+    def test_trim_drops_exactly_the_covered_entries(self):
+        router, routed = self.spooled(max_spool_records=100_000)
+        handle = router._partitions[0]
+        clocks = [entry[0] for entry in handle.spool]
+        total = handle.spool_records
+        # A checkpoint covering up to just before the fourth entry's ack.
+        handle.trim_spool(clocks[3] - 1)
+        assert [entry[0] for entry in handle.spool] == clocks[3:]
+        assert handle.spool_records == total - sum(
+            len(g) for g in routed[0][:3]
+        )
+        assert handle.n_spool_evicted == 0  # trimming is not eviction
+        handle.trim_spool(clocks[-1])
+        assert not handle.spool and handle.spool_records == 0
+
+    def test_batches_are_held_encoded_and_decode_in_order(self):
+        router, routed = self.spooled(max_spool_records=100_000)
+        for p, groups in routed.items():
+            entries = list(router._partitions[p].spool)
+            assert len(entries) == len(groups)
+            for (_, n_records, blob), group in zip(entries, groups):
+                assert isinstance(blob, bytes)
+                assert n_records == len(group)
+                assert len(blob) <= 64 * n_records
+                assert pickle.loads(blob) == group
 
 
 @pytest.mark.slow
